@@ -34,8 +34,9 @@
 // replaced transparently (failover) and interrupted MD segments are
 // resubmitted. Checkpoint/restart covers runs longer than any single
 // session: -checkpoint FILE writes a snapshot every -checkpoint-every
-// exchange events, and -resume FILE continues a killed run from its last
-// snapshot.
+// exchange events (0: only the snapshot a cancellation leaves), and
+// -resume FILE continues a killed run from its last snapshot. The run
+// is assembled by serve.Prepare, exactly as a repexd launch is.
 //
 // Observability: -listen HOST:PORT (or a "serve": {"listen": ...} block
 // in the simulation file) starts the live HTTP status server with
@@ -61,41 +62,39 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"repro/internal/analysis"
-	"repro/internal/bench"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
-	"repro/internal/respace"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
 func main() {
-	simPath := flag.String("sim", "", "simulation JSON file (required)")
-	resPath := flag.String("res", "", "resource JSON file (required)")
-	resumePath := flag.String("resume", "", "snapshot file to resume from")
-	ckptPath := flag.String("checkpoint", "", "snapshot file to write checkpoints to")
-	ckptEvery := flag.Int("checkpoint-every", 1, "exchange events between checkpoints")
-	listen := flag.String("listen", "", "host:port for the live status server (overrides the sim file's serve block)")
-	trigger := flag.String("trigger", "", "exchange-trigger policy override: barrier, window, count, adaptive or feedback")
+	var o options
+	flag.StringVar(&o.simPath, "sim", "", "simulation JSON file (required)")
+	flag.StringVar(&o.resPath, "res", "", "resource JSON file (required)")
+	flag.StringVar(&o.resumePath, "resume", "", "snapshot file to resume from")
+	flag.StringVar(&o.ckptPath, "checkpoint", "", "snapshot file to write checkpoints to")
+	flag.IntVar(&o.ckptEvery, "checkpoint-every", 1, "exchange events between checkpoints (0: only the cancellation snapshot)")
+	flag.StringVar(&o.listen, "listen", "", "host:port for the live status server (overrides the sim file's serve block)")
+	flag.StringVar(&o.trigger, "trigger", "", "exchange-trigger policy override: barrier, window, count, adaptive or feedback")
 	targetAcc := flag.String("target-acceptance", "", "feedback trigger acceptance set point: a scalar in (0,1) or a per-dimension JSON map like '{\"T\":0.4,\"U\":0.25}'; empty keeps the sim file's value (requires the feedback trigger)")
-	windowEvents := flag.Int("window-events", 0, "rolling-window depth for pair statistics and the feedback trigger (overrides the sim file)")
-	tracePath := flag.String("trace", "", "write the flight recorder's span timeline as Chrome trace-event JSON to this file at exit")
-	preemptNotice := flag.Float64("preempt-notice", -1, "default preemption notice window in virtual seconds for chaos preempt events that omit notice_sec (overrides the resource file's preempt_notice_sec; negative keeps the file's value)")
-	noChaos := flag.Bool("no-chaos", false, "ignore the resource file's chaos plan (run the same config on quiet resources)")
+	flag.IntVar(&o.windowEvents, "window-events", 0, "rolling-window depth for pair statistics and the feedback trigger (overrides the sim file)")
+	flag.StringVar(&o.tracePath, "trace", "", "write the flight recorder's span timeline as Chrome trace-event JSON to this file at exit")
+	flag.Float64Var(&o.preemptNotice, "preempt-notice", -1, "default preemption notice window in virtual seconds for chaos preempt events that omit notice_sec (overrides the resource file's preempt_notice_sec; negative keeps the file's value)")
+	flag.BoolVar(&o.noChaos, "no-chaos", false, "ignore the resource file's chaos plan (run the same config on quiet resources)")
 	logLevel := flag.String("log-level", "info", "stderr log threshold: debug, info, warn or error")
 	flag.Parse()
-	if *simPath == "" || *resPath == "" {
+	if o.simPath == "" || o.resPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -103,17 +102,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repex:", err)
 		os.Exit(2)
 	}
-	ov := overrides{trigger: *trigger, windowEvents: *windowEvents,
-		preemptNotice: *preemptNotice, noChaos: *noChaos}
 	if *targetAcc != "" {
 		ta, err := parseTargetAcceptance(*targetAcc)
 		if err != nil {
 			slog.Error("invalid flag", "error", err)
 			os.Exit(2)
 		}
-		ov.targetAcceptance = &ta
+		o.targetAcceptance = &ta
 	}
-	if err := run(*simPath, *resPath, *resumePath, *ckptPath, *ckptEvery, *listen, *tracePath, ov); err != nil {
+	// SIGINT/SIGTERM cancels through the dispatcher's context path: the
+	// run stops at the next exchange boundary, drains its in-flight
+	// segments and (with -checkpoint) leaves a resumable final snapshot.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if _, err := run(ctx, o, os.Stdout); err != nil {
 		slog.Error("run failed", "error", err)
 		os.Exit(1)
 	}
@@ -131,9 +133,15 @@ func setupLogging(level string) error {
 	return nil
 }
 
-// overrides are the command-line knobs that take precedence over the
-// simulation file's trigger fields and the resource file's chaos knobs.
-type overrides struct {
+// options are the command line: the two config files, checkpointing and
+// observability, and the knobs that take precedence over the simulation
+// file's trigger fields and the resource file's chaos knobs.
+type options struct {
+	simPath, resPath     string
+	resumePath, ckptPath string
+	ckptEvery            int
+	listen, tracePath    string
+
 	trigger          string
 	targetAcceptance *config.TargetAcceptance
 	windowEvents     int
@@ -160,268 +168,151 @@ func parseTargetAcceptance(arg string) (config.TargetAcceptance, error) {
 	return ta, nil
 }
 
-func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, tracePath string, ov overrides) error {
-	simData, err := os.ReadFile(simPath)
+// launch reads the two config files into a config.Launch, applies the
+// flag overrides, and validates it by the same rules as a repexd launch
+// body.
+func (o options) launch() (*config.Launch, error) {
+	simData, err := os.ReadFile(o.simPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resData, err := os.ReadFile(resPath)
+	resData, err := os.ReadFile(o.resPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	simFile, err := config.ParseSimulation(simData)
+	l := &config.Launch{Resume: o.resumePath}
+	if l.Sim, err = config.ParseSimulation(simData); err != nil {
+		return nil, err
+	}
+	if l.Res, err = config.DecodeResource(resData); err != nil {
+		return nil, err
+	}
+	if o.trigger != "" {
+		l.Sim.Trigger = o.trigger
+	}
+	if o.targetAcceptance != nil {
+		l.Sim.TargetAcceptance = *o.targetAcceptance
+	}
+	if o.windowEvents != 0 {
+		l.Sim.WindowEvents = o.windowEvents
+	}
+	if o.preemptNotice >= 0 {
+		l.Res.PreemptNoticeSec = o.preemptNotice
+	}
+	if o.noChaos {
+		l.Res.Chaos = nil
+	}
+	// checkpoint_every without a path is rejected, so the period only
+	// rides along with -checkpoint.
+	if o.ckptPath != "" {
+		l.Checkpoint, l.CheckpointEvery = o.ckptPath, o.ckptEvery
+	}
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// run executes one simulation through the same serve.Prepare path a
+// repexd launch takes and prints the report to stdout. It returns the
+// final (on error: partial, possibly nil) report.
+func run(ctx context.Context, o options, stdout io.Writer) (*core.Report, error) {
+	l, err := o.launch()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if ov.trigger != "" {
-		simFile.Trigger = ov.trigger
+	listen := o.listen
+	if listen == "" && l.Sim.Serve != nil {
+		listen = l.Sim.Serve.Listen
 	}
-	if ov.targetAcceptance != nil {
-		simFile.TargetAcceptance = *ov.targetAcceptance
-	}
-	if ov.windowEvents != 0 {
-		simFile.WindowEvents = ov.windowEvents
-	}
-	spec, err := simFile.ToSpec()
+	r, err := serve.Prepare(l, serve.Attach{Server: listen != "", TraceFile: o.tracePath != ""})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resFile, err := config.DecodeResource(resData)
-	if err != nil {
-		return err
-	}
-	if ov.preemptNotice >= 0 {
-		resFile.PreemptNoticeSec = ov.preemptNotice
-	}
-	if ov.noChaos {
-		resFile.Chaos = nil
-	}
-	machine, pilotSpec, err := resFile.Resolve()
-	if err != nil {
-		return err
-	}
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err != nil {
-			return fmt.Errorf("resume checkpoint %s: %v (is the path right? run without -resume to start fresh)",
-				resumePath, err)
-		}
-		snap, err := core.DecodeSnapshot(data)
-		if err != nil {
-			return fmt.Errorf("resume checkpoint %s is not a usable snapshot (empty, truncated or corrupt): %v",
-				resumePath, err)
-		}
-		spec.Resume = snap
-		fmt.Printf("resuming %q from snapshot at exchange event %d\n", spec.Name, snap.Events)
-	}
-	if listen == "" && simFile.Serve != nil {
-		listen = simFile.Serve.Listen
+	spec := r.Spec()
+	if spec.Resume != nil {
+		fmt.Fprintf(stdout, "resuming %q from snapshot at exchange event %d\n", spec.Name, spec.Resume.Events)
 	}
 	// window_events parameterizes the feedback controller and the
 	// collector's rolling statistics; with neither in play it is dead
 	// configuration worth flagging (target_acceptance on a non-feedback
 	// trigger is rejected outright by the config layer).
-	if simFile.WindowEvents != 0 && spec.TriggerName() != "feedback" &&
-		listen == "" && ckptPath == "" {
+	if l.Sim.WindowEvents != 0 && spec.TriggerName() != "feedback" &&
+		listen == "" && o.ckptPath == "" {
 		slog.Warn("window_events is set but nothing consumes it (no feedback trigger, no -listen, no -checkpoint)")
 	}
-
-	// The flight recorder rides along whenever someone can read it: the
-	// -trace file at exit, or GET /trace on the live server. Recording
-	// is bounded and touches neither the RNG nor the virtual clock, so
-	// the traced run is bit-identical to an untraced one.
-	var tracer *trace.Recorder
-	if tracePath != "" || listen != "" {
-		tracer = trace.New(0)
-		spec.Tracer = tracer
+	if o.tracePath != "" {
+		defer writeTrace(o.tracePath, spec.Tracer)
 	}
-	if tracePath != "" {
-		defer func() {
-			data, err := tracer.ExportJSON()
-			if err == nil {
-				err = ckpt.WriteAtomic(tracePath, data)
-			}
-			if err != nil {
-				slog.Error("writing trace", "path", tracePath, "error", err)
-				return
-			}
-			slog.Info("trace written", "path", tracePath,
-				"spans", tracer.Recorded(), "dropped", tracer.Dropped())
-		}()
-	}
-
-	// The event bus and collector power the live endpoints, the
-	// checkpoint-embedded statistics and the respace planner's measured
-	// acceptance profile; without any consumer the run stays bus-free.
-	var col *analysis.Collector
-	if listen != "" || ckptPath != "" || spec.Respace != nil {
-		spec.Bus = core.NewBus()
-		colCfg := analysis.ConfigFromSpec(spec)
-		colCfg.WindowEvents = simFile.WindowEvents
-		col = analysis.New(colCfg)
-		col.Attach(spec.Bus, analysis.RunBuffer(spec))
-		if spec.Resume != nil {
-			if len(spec.Resume.Analysis) > 0 {
-				if err := col.Restore(spec.Resume.Analysis); err != nil {
-					return fmt.Errorf("resume checkpoint %s: %v", resumePath, err)
-				}
-			} else {
-				// No collector ran before the snapshot: continue the
-				// event clock and slot baseline from the checkpoint so
-				// walks are not measured against the fresh-run identity.
-				if err := col.SeedResume(spec.Resume); err != nil {
-					return fmt.Errorf("resume checkpoint %s: %v", resumePath, err)
-				}
-				slog.Warn("checkpoint carries no analysis state; statistics cover the resumed portion only")
-			}
-		}
-	}
-	// The respace planner re-fits saturated ladders from the collector's
-	// measured per-pair acceptance; ToSpec left the field nil because
-	// the collector did not exist yet.
-	if spec.Respace != nil {
-		spec.Respace.Planner = respace.NewPlanner(col)
-	}
-
-	triggerName := spec.TriggerName()
-	feedback, _ := spec.Trigger.(*core.FeedbackTrigger)
-
-	var state atomic.Value // core.RunState names: "pending" ... "cancelled"
-	state.Store("pending")
-	// The constructed simulation, stored by OnStart: the status closure
-	// and the final summary read its mutex-guarded respace accessors.
-	var simPtr atomic.Pointer[core.Simulation]
-	var runFailure atomic.Value
-	runFailure.Store("")
-	var server *serve.Server
 	if listen != "" {
-		server = serve.New(col, func() serve.RunStatus {
-			st := serve.RunStatus{
-				Name:            spec.Name,
-				Engine:          simFile.Engine,
-				Trigger:         triggerName,
-				State:           state.Load().(string),
-				Replicas:        spec.Replicas(),
-				Cores:           pilotSpec.Cores,
-				CyclesTarget:    spec.Cycles,
-				ExchangeWorkers: spec.ExchangeWorkers,
-				HistoryTail:     spec.HistoryTail,
-				BusPublished:    spec.Bus.Published(),
-				Error:           runFailure.Load().(string),
-			}
-			if feedback != nil {
-				// ControllerStatus is mutex-guarded inside the trigger,
-				// so the live scrape is race-free against the dispatcher.
-				st.Feedback = feedback.ControllerStatus()
-			}
-			if rs := spec.Respace; rs != nil {
-				respaceSt := &serve.RespaceStatus{
-					Enabled:    true,
-					AfterSteps: rs.AfterSteps,
-					MaxRefits:  rs.MaxRefits,
-				}
-				if sim := simPtr.Load(); sim != nil {
-					respaceSt.Refits = sim.RefitCounts()
-					respaceSt.Ladders = sim.LadderValues()
-					respaceSt.History = sim.RespaceHistory()
-				}
-				st.Respace = respaceSt
-			}
-			return st
-		})
-		server.SetTracer(tracer)
-		if simFile.Serve != nil && simFile.Serve.Pprof {
+		server := r.Server()
+		if l.Sim.Serve != nil && l.Sim.Serve.Pprof {
 			server.EnablePprof()
 		}
 		addr, err := server.Start(listen)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("status server listening on http://%s (/status /stats /metrics /healthz /trace)\n", addr)
+		defer server.Close()
+		fmt.Fprintf(stdout, "status server listening on http://%s (/status /stats /metrics /healthz /trace)\n", addr)
 	}
 
-	if ckptPath != "" {
-		if ckptEvery < 1 {
-			ckptEvery = 1
-		}
-		spec.SnapshotEvery = ckptEvery
-		spec.OnSnapshot = func(sn *core.Snapshot) {
-			if col != nil {
-				if data, err := col.EncodeState(); err == nil {
-					sn.Analysis = data
-				} else {
-					slog.Error("encoding analysis state", "error", err)
-				}
-			}
-			data, err := sn.Encode()
-			if err != nil {
-				slog.Error("encoding checkpoint", "error", err)
-				return
-			}
-			if err := ckpt.WriteAtomic(ckptPath, data); err != nil {
-				slog.Error("writing checkpoint", "path", ckptPath, "error", err)
-			}
-		}
-	}
-	// SIGINT/SIGTERM cancels through the dispatcher's context path: the
-	// run stops at the next exchange boundary, drains its in-flight
-	// segments and (with -checkpoint) leaves a resumable final snapshot.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	report, err := bench.Run(bench.RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    pilotSpec.Cores,
-		PilotWalltime: pilotSpec.Walltime,
-		Pilots:        pilotSpec.Pilots,
-		Chaos:         pilotSpec.Chaos,
-		NewEngine: func(seed int64) core.Engine {
-			return engines.NewNamedVirtual(simFile.Engine, simFile.Atoms, seed)
-		},
-		Seed:    spec.Seed,
-		Context: ctx,
-		OnStart: func(sim *core.Simulation) {
-			simPtr.Store(sim)
-			state.Store("running")
-		},
-	})
+	report, err := r.Execute(ctx)
 	if errors.Is(err, core.ErrRunCancelled) {
-		state.Store("cancelled")
 		if report != nil {
-			fmt.Print(report.String())
+			fmt.Fprint(stdout, report.String())
 		}
-		if ckptPath != "" {
-			fmt.Printf("cancelled; resume with -resume %s\n", ckptPath)
+		if o.ckptPath != "" {
+			fmt.Fprintf(stdout, "cancelled; resume with -resume %s\n", o.ckptPath)
 		}
-		if server != nil {
-			_ = server.Close()
-		}
-		return err
+		return report, err
 	}
 	if err != nil {
 		// A failed run must exit non-zero promptly even with a listener
 		// active — unattended invocations (cron, CI) would otherwise
 		// hang on a signal that never comes.
-		state.Store("failed")
-		runFailure.Store(err.Error())
-		if server != nil {
-			_ = server.Close()
-		}
-		return err
+		return report, err
 	}
-	state.Store("completed")
-	fmt.Print(report.String())
+	printReport(stdout, r, report)
+	if listen != "" {
+		fmt.Fprintln(stdout, "run finished; still serving — interrupt (Ctrl-C) to exit")
+		<-ctx.Done()
+	}
+	return report, nil
+}
+
+// writeTrace exports the flight recorder's span timeline as Chrome
+// trace-event JSON.
+func writeTrace(path string, tracer *trace.Recorder) {
+	data, err := tracer.ExportJSON()
+	if err == nil {
+		err = ckpt.WriteAtomic(path, data)
+	}
+	if err != nil {
+		slog.Error("writing trace", "path", path, "error", err)
+		return
+	}
+	slog.Info("trace written", "path", path,
+		"spans", tracer.Recorded(), "dropped", tracer.Dropped())
+}
+
+// printReport writes the completed run's summary: the report, the Eq. 1
+// decomposition, per-dimension costs, mixing statistics, feedback
+// controller state and applied ladder refits.
+func printReport(w io.Writer, r *serve.Run, report *core.Report) {
+	spec := r.Spec()
+	fmt.Fprint(w, report.String())
 	d := report.Decompose()
-	fmt.Printf("Eq.1 decomposition per cycle: T_MD=%.1fs T_EX=%.1fs T_data=%.2fs T_RepEx=%.2fs T_RP=%.2fs\n",
+	fmt.Fprintf(w, "Eq.1 decomposition per cycle: T_MD=%.1fs T_EX=%.1fs T_data=%.2fs T_RepEx=%.2fs T_RP=%.2fs\n",
 		d.TMD, d.TEX, d.TData, d.TRepEx, d.TRP)
 	for dim := range spec.Dims {
 		tmd, tex := report.DimDecompose(dim)
-		fmt.Printf("  dim %d (%s): MD %.1fs, exchange %.1fs, acceptance %.1f%%\n",
+		fmt.Fprintf(w, "  dim %d (%s): MD %.1fs, exchange %.1fs, acceptance %.1f%%\n",
 			dim, spec.Dims[dim].Type, tmd, tex, 100*report.AcceptanceRatioByDim(dim))
 	}
-	if col != nil {
+	if col := r.Collector(); col != nil {
 		stats := col.Snapshot()
-		fmt.Printf("mixing: %d round trips (mean %.1f events), %.0f%% of replicas traversed the full ladder\n",
+		fmt.Fprintf(w, "mixing: %d round trips (mean %.1f events), %.0f%% of replicas traversed the full ladder\n",
 			stats.RoundTrips, stats.MeanRoundTripEvents, 100*stats.FullTraversalFraction)
 		for d, pairs := range stats.AcceptanceWindow {
 			var attempted uint64
@@ -434,7 +325,7 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 			if attempted == 0 {
 				continue
 			}
-			fmt.Printf("  dim %d rolling acceptance (last <=%d outcomes/pair): %.1f%%\n",
+			fmt.Fprintf(w, "  dim %d rolling acceptance (last <=%d outcomes/pair): %.1f%%\n",
 				d, stats.WindowEvents, 100*analysis.WeightedRatio(pairs))
 		}
 		if stats.BusDropped > 0 {
@@ -442,29 +333,20 @@ func run(simPath, resPath, resumePath, ckptPath string, ckptEvery int, listen, t
 				"dropped", stats.BusDropped)
 		}
 	}
-	if feedback != nil {
-		for _, ds := range feedback.ControllerStatus() {
-			fmt.Printf("  feedback dim %d: target %.2f, measured %.2f over %d outcomes, window %.1fs, min-ready %d\n",
-				ds.Dim, ds.Target, ds.Measured, ds.Outcomes, ds.Window, ds.MinReady)
-			if ds.Saturated {
-				fmt.Printf("    SATURATED: target unreachable at the window clamp — revisit the dim-%d ladder spacing\n", ds.Dim)
-			}
+	st := r.Status()
+	for _, ds := range st.Feedback {
+		fmt.Fprintf(w, "  feedback dim %d: target %.2f, measured %.2f over %d outcomes, window %.1fs, min-ready %d\n",
+			ds.Dim, ds.Target, ds.Measured, ds.Outcomes, ds.Window, ds.MinReady)
+		if ds.Saturated {
+			fmt.Fprintf(w, "    SATURATED: target unreachable at the window clamp — revisit the dim-%d ladder spacing\n", ds.Dim)
 		}
 	}
-	if sim := simPtr.Load(); sim != nil {
-		for _, rec := range sim.RespaceHistory() {
-			fmt.Printf("  RESPACED dim %d (refit %d) at event %d: %s -> %s\n",
+	if st.Respace != nil {
+		for _, rec := range st.Respace.History {
+			fmt.Fprintf(w, "  RESPACED dim %d (refit %d) at event %d: %s -> %s\n",
 				rec.Dim, rec.Refit, rec.Event, fmtLadder(rec.Old), fmtLadder(rec.New))
 		}
 	}
-	if server != nil {
-		fmt.Println("run finished; still serving — interrupt (Ctrl-C) to exit")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		_ = server.Close()
-	}
-	return nil
 }
 
 // fmtLadder renders a value ladder compactly for the final summary,

@@ -14,12 +14,13 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/pilot"
 	"repro/internal/respace"
+	"repro/internal/runner"
 )
 
 // chaosParams loads the committed chaos configs (the pair the CI
-// chaos-soak lane runs) into fresh RunParams. Specs are stateful, so
+// chaos-soak lane runs) into fresh runner.Params. Specs are stateful, so
 // every call rebuilds everything from the files.
-func chaosParams(t *testing.T) RunParams {
+func chaosParams(t *testing.T) runner.Params {
 	t.Helper()
 	simData, err := os.ReadFile(filepath.Join("..", "..", "configs", "chaos_sim_small.json"))
 	if err != nil {
@@ -44,7 +45,7 @@ func chaosParams(t *testing.T) RunParams {
 	if ps.Chaos.Empty() {
 		t.Fatal("configs/chaos_small.json carries no chaos plan")
 	}
-	return RunParams{
+	return runner.Params{
 		Spec:          spec,
 		Cluster:       machine,
 		PilotCores:    ps.Cores,
@@ -84,12 +85,12 @@ func checkChaosReport(t *testing.T, rep *core.Report) {
 // only virtual-time scheduling, so two runs produce bit-identical slot
 // histories and the committed golden fingerprint still matches.
 func TestChaosSmallDeterministic(t *testing.T) {
-	a, err := Run(chaosParams(t))
+	a, err := runner.Run(chaosParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkChaosReport(t, a)
-	b, err := Run(chaosParams(t))
+	b, err := runner.Run(chaosParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestChaosSmallDeterministic(t *testing.T) {
 // barrier absorbs completions in submission order, so resource faults
 // can delay segments but never reorder the exchange decisions.
 func TestChaosSmallResume(t *testing.T) {
-	full, err := Run(chaosParams(t))
+	full, err := runner.Run(chaosParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestChaosSmallResume(t *testing.T) {
 	p := chaosParams(t)
 	p.Spec.SnapshotEvery = 3
 	p.Spec.OnSnapshot = func(sn *core.Snapshot) { snaps = append(snaps, sn) }
-	if _, err := Run(p); err != nil {
+	if _, err := runner.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 {
@@ -142,7 +143,7 @@ func TestChaosSmallResume(t *testing.T) {
 
 	rp := chaosParams(t)
 	rp.Spec.Resume = snap
-	resumed, err := Run(rp)
+	resumed, err := runner.Run(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestChaosSmallResume(t *testing.T) {
 // respacing armed, running on the chaos-lane cluster. The returned
 // simPtr is filled by OnStart so the test can read the refit history
 // after the run.
-func respaceChaosParams(t *testing.T, chaos *pilot.ChaosPlan) (RunParams, **core.Simulation) {
+func respaceChaosParams(t *testing.T, chaos *pilot.ChaosPlan) (runner.Params, **core.Simulation) {
 	t.Helper()
 	resData, err := os.ReadFile(filepath.Join("..", "..", "configs", "chaos_small.json"))
 	if err != nil {
@@ -196,7 +197,7 @@ func respaceChaosParams(t *testing.T, chaos *pilot.ChaosPlan) (RunParams, **core
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 	spec.Respace = &core.RespaceSpec{AfterSteps: 2, MaxRefits: 2, Planner: respace.NewPlanner(col)}
 	simPtr := new(*core.Simulation)
-	return RunParams{
+	return runner.Params{
 		Spec:          spec,
 		Cluster:       machine,
 		PilotCores:    ps.Cores,
@@ -219,7 +220,7 @@ func respaceChaosParams(t *testing.T, chaos *pilot.ChaosPlan) (RunParams, **core
 // stays pinned to the refit no matter how the schedule drifts.
 func TestChaosDuringRespace(t *testing.T) {
 	quietParams, quietSim := respaceChaosParams(t, nil)
-	quiet, err := Run(quietParams)
+	quiet, err := runner.Run(quietParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestChaosDuringRespace(t *testing.T) {
 	}}
 	run := func() (*core.Report, []core.RespaceRecord) {
 		p, simPtr := respaceChaosParams(t, plan)
-		rep, err := Run(p)
+		rep, err := runner.Run(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func TestChaosDuringRespace(t *testing.T) {
 func TestChaosNoChaosDiverges(t *testing.T) {
 	p := chaosParams(t)
 	p.Chaos = nil
-	rep, err := Run(p)
+	rep, err := runner.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

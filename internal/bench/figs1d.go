@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
+	"repro/internal/runner"
 )
 
 // oneDSpec builds a 1D REMD spec of the given exchange type with n
@@ -57,7 +58,7 @@ func stampedeFor(n int) cluster.Config {
 
 // run1D executes a 1D run in Execution Mode I (cores = replicas).
 func run1D(t exchange.Type, n, cycles int, seed int64) (*core.Report, error) {
-	return Run(RunParams{
+	return runner.Run(runner.Params{
 		Spec:       oneDSpec(t, n, cycles, seed),
 		Cluster:    superMICFor(n),
 		PilotCores: n,
@@ -104,7 +105,7 @@ func Fig5Overheads(quick bool) ([]Fig5Row, *Table, error) {
 		}
 		// A 3D run of the same total size for the 3D RepEx overhead.
 		side := cubeSideFor(n)
-		rep3, err := Run(RunParams{
+		rep3, err := runner.Run(runner.Params{
 			Spec:       tsuSpec(side, cycles, 300+int64(n)),
 			Cluster:    superMICFor(side * side * side),
 			PilotCores: side * side * side,
@@ -204,7 +205,7 @@ func Fig7Efficiency1D(quick bool) ([]Fig7Row, *Table, error) {
 		for _, n := range cs {
 			spec := oneDSpec(s.t, n, cycles, 500+int64(n))
 			spec.DisableExchange = s.none
-			rep, err := Run(RunParams{
+			rep, err := runner.Run(runner.Params{
 				Spec:       spec,
 				Cluster:    superMICFor(n),
 				PilotCores: n,
@@ -256,7 +257,7 @@ func Fig8NAMD(quick bool) ([]Fig8Row, *Table, error) {
 	for _, n := range counts(quick) {
 		spec := oneDSpec(exchange.Temperature, n, cycles, 600+int64(n))
 		spec.StepsPerCycle = 4000
-		rep, err := Run(RunParams{
+		rep, err := runner.Run(runner.Params{
 			Spec:       spec,
 			Cluster:    superMICFor(n),
 			PilotCores: n,

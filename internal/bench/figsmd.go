@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/exchange"
+	"repro/internal/runner"
 )
 
 // tsuSpec builds the paper's 3D TSU-REMD workload with `side` windows
@@ -71,7 +72,7 @@ func Fig9WeakTSU(quick bool) ([]Fig9Row, *Table, error) {
 	}
 	for _, side := range sides {
 		n := side * side * side
-		rep, err := Run(RunParams{
+		rep, err := runner.Run(runner.Params{
 			Spec:       tsuSpec(side, cycles, 700+int64(n)),
 			Cluster:    stampedeFor(n),
 			PilotCores: n,
@@ -121,7 +122,7 @@ func Fig10StrongTSU(quick bool) ([]Fig10Row, *Table, error) {
 		Header: []string{"cores,replicas", "mode", "MD", "T exch (D1)", "S exch (D2)", "U exch (D3)"},
 	}
 	for _, c := range coreCounts {
-		rep, err := Run(RunParams{
+		rep, err := runner.Run(runner.Params{
 			Spec:       tsuSpec(side, cycles, 800+int64(c)),
 			Cluster:    stampedeFor(n),
 			PilotCores: c,
@@ -225,7 +226,7 @@ func Fig12MultiCore(quick bool) ([]Fig12Row, *Table, error) {
 			newEngine = func(s int64) core.Engine { return engines.NewAmberVirtual(LargeSystemAtoms, s) }
 		}
 		total := 216 * cpr
-		rep, err := Run(RunParams{
+		rep, err := runner.Run(runner.Params{
 			Spec:       tuuSpec(side, 20000, cpr, cycles, 900+int64(cpr)),
 			Cluster:    stampedeFor(total),
 			PilotCores: total,
@@ -286,7 +287,7 @@ func Fig13Utilization(quick bool) ([]Fig13Row, *Table, error) {
 			}
 			cfg := superMICFor(n)
 			cfg.ExecJitter = 0.06
-			return Run(RunParams{
+			return runner.Run(runner.Params{
 				Spec:       spec,
 				Cluster:    cfg,
 				PilotCores: n,

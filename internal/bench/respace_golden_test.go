@@ -12,12 +12,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/respace"
+	"repro/internal/runner"
 )
 
 // respaceSmallParams loads the committed respace walkthrough config
 // (the pair the respace smoke runs) with the collector-backed planner
 // wired exactly the way cmd/repex wires it.
-func respaceSmallParams(t *testing.T) (RunParams, **core.Simulation) {
+func respaceSmallParams(t *testing.T) (runner.Params, **core.Simulation) {
 	t.Helper()
 	simData, err := os.ReadFile(filepath.Join("..", "..", "configs", "respace_small.json"))
 	if err != nil {
@@ -47,7 +48,7 @@ func respaceSmallParams(t *testing.T) (RunParams, **core.Simulation) {
 	col.Attach(spec.Bus, analysis.RunBuffer(spec))
 	spec.Respace.Planner = respace.NewPlanner(col)
 	simPtr := new(*core.Simulation)
-	return RunParams{
+	return runner.Params{
 		Spec:          spec,
 		Cluster:       machine,
 		PilotCores:    ps.Cores,
@@ -70,7 +71,7 @@ func respaceSmallParams(t *testing.T) (RunParams, **core.Simulation) {
 func TestRespaceSmallGolden(t *testing.T) {
 	run := func() (*core.Report, []core.RespaceRecord) {
 		p, simPtr := respaceSmallParams(t)
-		rep, err := Run(p)
+		rep, err := runner.Run(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,14 @@
 package config_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/engines"
+	"repro/internal/serve"
 )
 
 // End-to-end tests of the shipped example configuration files: parse
@@ -30,22 +30,19 @@ func runConfig(t *testing.T, simName, resName string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := simFile.ToSpec()
+	res, err := config.DecodeResource(readConfig(t, resName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine, pl, err := config.ParseResource(readConfig(t, resName))
+	l := &config.Launch{Sim: simFile, Res: res}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := serve.Prepare(l, serve.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bench.Run(bench.RunParams{
-		Spec:          spec,
-		Cluster:       machine,
-		PilotCores:    pl.Cores,
-		PilotWalltime: pl.Walltime,
-		NewEngine:     func(s int64) core.Engine { return engines.NewAmberVirtual(simFile.Atoms, s) },
-		Seed:          spec.Seed,
-	})
+	rep, err := run.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// Launch is the JSON body of a repexd POST /runs request: one
-// simulation plus the resource it runs on, optionally resuming from a
-// checkpoint file and writing new checkpoints while running.
+// Launch is one run request: one simulation plus the resource it runs
+// on, optionally resuming from a checkpoint file and writing new
+// checkpoints while running. It is the JSON body of a repexd POST /runs
+// request; cmd/repex builds the same value from its two files and flags.
 type Launch struct {
 	// Sim is the simulation block, in the exact shape of a simulation
 	// config file.
@@ -15,8 +16,8 @@ type Launch struct {
 	// Res is the resource block, in the exact shape of a resource
 	// config file.
 	Res *Resource `json:"res"`
-	// Resume is a checkpoint file path on the daemon host to resume
-	// from (empty: start fresh).
+	// Resume is a checkpoint file path on the host running the
+	// simulation to resume from (empty: start fresh).
 	Resume string `json:"resume,omitempty"`
 	// Checkpoint is the file path the run writes its snapshots to —
 	// periodically every CheckpointEvery events, and always at the
@@ -28,33 +29,45 @@ type Launch struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// ParseLaunch decodes and validates a run-launch request body: both
-// blocks present, the simulation normalized (defaults + spec dry run)
-// and the resource resolved.
+// ParseLaunch decodes and validates a run-launch request body (see
+// Validate).
 func ParseLaunch(data []byte) (*Launch, error) {
 	var l Launch
 	if err := json.Unmarshal(data, &l); err != nil {
 		return nil, fmt.Errorf("config: %v", err)
 	}
-	if l.Sim == nil {
-		return nil, fmt.Errorf("config: launch request needs a \"sim\" block")
-	}
-	if l.Res == nil {
-		return nil, fmt.Errorf("config: launch request needs a \"res\" block")
-	}
-	if err := l.Sim.Normalize(); err != nil {
+	if err := l.Validate(); err != nil {
 		return nil, err
-	}
-	if _, _, err := l.Res.Resolve(); err != nil {
-		return nil, err
-	}
-	if l.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("config: checkpoint_every must be non-negative")
-	}
-	if l.CheckpointEvery > 0 && l.Checkpoint == "" {
-		return nil, fmt.Errorf("config: checkpoint_every without a checkpoint path")
 	}
 	return &l, nil
+}
+
+// Validate checks a launch the way both front ends need it: both blocks
+// present, the simulation normalized (defaults + spec dry run), the
+// resource resolved, and the checkpoint period non-negative and backed
+// by a checkpoint path. ParseLaunch calls it on a decoded request body;
+// cmd/repex calls it on the launch it assembles from its two files and
+// flags.
+func (l *Launch) Validate() error {
+	if l.Sim == nil {
+		return fmt.Errorf("config: launch request needs a \"sim\" block")
+	}
+	if l.Res == nil {
+		return fmt.Errorf("config: launch request needs a \"res\" block")
+	}
+	if err := l.Sim.Normalize(); err != nil {
+		return err
+	}
+	if _, _, err := l.Res.Resolve(); err != nil {
+		return err
+	}
+	if l.CheckpointEvery < 0 {
+		return fmt.Errorf("config: checkpoint_every must be non-negative")
+	}
+	if l.CheckpointEvery > 0 && l.Checkpoint == "" {
+		return fmt.Errorf("config: checkpoint_every without a checkpoint path")
+	}
+	return nil
 }
 
 // Daemon is the JSON shape of a repexd daemon config file (every key

@@ -71,7 +71,7 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 	s.exObs, _ = tr.(ExchangeObserver)
 	// Latency-adaptive policies are fed each MD segment's completion
 	// latency — submission to final completion, including relaunch
-	// retries — rather than the raw per-attempt exec time Observe sees.
+	// retries — rather than a raw per-attempt exec time.
 	latObs, _ := tr.(LatencyObserver)
 	// Feedback policies get a controller-decision span after each fire:
 	// publishExchange feeds ObserveExchange synchronously, so the fired
@@ -290,7 +290,6 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 				delete(owner, h)
 				pending--
 				res := h.Result()
-				tr.Observe(res)
 				if res.Failed() && relaunch(f, res) {
 					continue
 				}

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 )
 
 // Snapshot is a serializable checkpoint of a running simulation, taken
@@ -115,6 +117,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if sn.Version != SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", sn.Version, SnapshotVersion)
 	}
+	if sn.RNGDraws < 0 {
+		return nil, fmt.Errorf("core: snapshot rng_draws %d is negative", sn.RNGDraws)
+	}
+	if sn.EngineDraws < -1 {
+		return nil, fmt.Errorf("core: snapshot engine_draws %d is below -1", sn.EngineDraws)
+	}
 	return &sn, nil
 }
 
@@ -200,19 +208,46 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 		return fmt.Errorf("core: snapshot has %d replicas, spec %q has %d",
 			len(sn.Replicas), s.spec.Name, len(s.replicas))
 	}
+	// Both RNG positions are restored by replaying draws, so bound them
+	// by what the run could have consumed: the dispatcher draws one
+	// uniform per attempted pair and an event attempts fewer pairs than
+	// there are replicas; a ReplayableEngine draws at most len(Dims)+1
+	// variates per replica initialisation and per completed segment.
+	// A corrupt count would otherwise spin the replay loop for ages.
+	n := float64(len(s.replicas))
+	if float64(sn.RNGDraws) > float64(sn.Events)*n {
+		return fmt.Errorf("core: snapshot rng_draws %d exceeds %d events x %d replicas",
+			sn.RNGDraws, sn.Events, len(s.replicas))
+	}
+	segments := 0.0
+	for _, rs := range sn.Replicas {
+		segments += math.Max(float64(rs.Cycle), 0)
+	}
+	if float64(sn.EngineDraws) > (n+segments)*float64(len(s.spec.Dims)+1) {
+		return fmt.Errorf("core: snapshot engine_draws %d exceeds what %d replicas and %.0f completed segments can draw",
+			sn.EngineDraws, len(s.replicas), segments)
+	}
 	// Restore a respaced grid before replica parameters are cloned from
 	// slotParams below: the snapshot's values replace the spec's
-	// originals, exactly as applyRespace left them.
+	// originals, exactly as applyRespace left them. A grid that differs
+	// from the spec's must still be a sane refit of it.
 	if len(sn.DimValues) > 0 {
 		if len(sn.DimValues) != len(s.spec.Dims) {
 			return fmt.Errorf("core: snapshot carries %d dimension grids, spec %q has %d",
 				len(sn.DimValues), s.spec.Name, len(s.spec.Dims))
 		}
 		for d, vals := range sn.DimValues {
-			if len(vals) != len(s.spec.Dims[d].Values) {
+			spec := s.spec.Dims[d].Values
+			if len(vals) != len(spec) {
 				return fmt.Errorf("core: snapshot dimension %d has %d windows, spec %q has %d",
-					d, len(vals), s.spec.Name, len(s.spec.Dims[d].Values))
+					d, len(vals), s.spec.Name, len(spec))
 			}
+			if !slices.Equal(vals, spec) && !respaceSane(spec, vals) {
+				return fmt.Errorf("core: snapshot dimension %d grid %v is not a monotone ladder inside the spec's [%g, %g] envelope",
+					d, vals, spec[0], spec[len(spec)-1])
+			}
+		}
+		for d, vals := range sn.DimValues {
 			s.spec.Dims[d].Values = append([]float64(nil), vals...)
 		}
 		for slot := range s.slotParams {

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/localexec"
 )
 
@@ -188,6 +191,80 @@ func TestResumeValidation(t *testing.T) {
 	renamed.Resume = snap
 	if _, err := core.New(renamed, eng(), localexec.New(8)); err == nil {
 		t.Fatal("snapshot from a different simulation accepted")
+	}
+}
+
+// TestResumeRejectsImpossibleSnapshots: RNG positions are restored by
+// replaying draws, so a corrupt count must be refused up front rather
+// than spin the replay loop — and a refitted grid must still be a sane
+// ladder inside the spec's envelope.
+func TestResumeRejectsImpossibleSnapshots(t *testing.T) {
+	var snaps []*core.Snapshot
+	spec := smallTREMD(6, 2)
+	spec.SnapshotEvery = 1
+	spec.OnSnapshot = func(sn *core.Snapshot) { snaps = append(snaps, sn) }
+	runVirtual(t, spec, quietCluster(), 6, 2881)
+	data := mustEncode(t, snaps[0])
+
+	undecodable := map[string]func(*core.Snapshot){
+		"rng_draws -1":    func(sn *core.Snapshot) { sn.RNGDraws = -1 },
+		"engine_draws -2": func(sn *core.Snapshot) { sn.EngineDraws = -2 },
+	}
+	for name, edit := range undecodable {
+		sn := *snaps[0]
+		edit(&sn)
+		if _, err := core.DecodeSnapshot(mustEncode(t, &sn)); err == nil {
+			t.Errorf("snapshot with %s decoded", name)
+		}
+	}
+
+	resume := func(edit func(*core.Snapshot)) error {
+		sn, err := core.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(sn)
+		s := smallTREMD(6, 2)
+		s.Resume = sn
+		done := make(chan error, 1)
+		go func() {
+			_, err := core.New(s, engines.NewAmberVirtual(2881, 1), localexec.New(8))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("core.New did not return within 10 s")
+			return nil
+		}
+	}
+	if err := resume(func(*core.Snapshot) {}); err != nil {
+		t.Fatalf("untouched snapshot rejected: %v", err)
+	}
+	rejects := map[string]func(*core.Snapshot){
+		"rng_draws 1<<62":        func(sn *core.Snapshot) { sn.RNGDraws = 1 << 62 },
+		"rng_draws past events":  func(sn *core.Snapshot) { sn.RNGDraws = int64(sn.Events*6 + 1) },
+		"engine_draws 1<<62":     func(sn *core.Snapshot) { sn.EngineDraws = 1 << 62 },
+		"non-monotone grid":      func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 300, 290, 330, 350, 373}} },
+		"grid outside envelope":  func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, 310, 330, 350, 400}} },
+		"grid with a NaN window": func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, math.NaN(), 330, 350, 373}} },
+	}
+	for name, edit := range rejects {
+		if err := resume(edit); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+	accepts := map[string]func(*core.Snapshot){
+		"spec grid": func(sn *core.Snapshot) {
+			sn.DimValues = [][]float64{append([]float64(nil), spec.Dims[0].Values...)}
+		},
+		"sane refit": func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, 310, 330, 350, 373}} },
+	}
+	for name, edit := range accepts {
+		if err := resume(edit); err != nil {
+			t.Errorf("%s: snapshot rejected: %v", name, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/ring"
-	"repro/internal/task"
 )
 
 // TriggerState is the dispatcher bookkeeping snapshot handed to trigger
@@ -70,9 +69,6 @@ type Trigger interface {
 	// Decide is consulted whenever the dispatcher state changes (after
 	// completions are absorbed, or after the deadline passes with none).
 	Decide(st TriggerState) TriggerDecision
-	// Observe is invoked for every completed MD segment, letting
-	// adaptive policies track execution-time statistics.
-	Observe(res task.Result)
 	// Reset begins a new collection round; called once when dispatch
 	// starts and again after every exchange step.
 	Reset(st TriggerState)
@@ -97,8 +93,8 @@ type ExchangeObserver interface {
 // submission to final successful completion, including every relaunch
 // retry and any queueing delay. This is the dispersion signal
 // window-adapting policies (AdaptiveTrigger, FeedbackTrigger's warm-up)
-// track: the raw per-attempt exec times Observe sees miss fault-driven
-// delay entirely, so a flaky replica would never widen the window.
+// track: raw per-attempt exec times would miss fault-driven delay
+// entirely, so a flaky replica would never widen the window.
 type LatencyObserver interface {
 	// ObserveLatency is invoked once per finally-completed MD segment
 	// with its completion latency in runtime seconds.
@@ -148,9 +144,6 @@ func (t *BarrierTrigger) Decide(st TriggerState) TriggerDecision {
 	return TriggerWait
 }
 
-// Observe is a no-op.
-func (t *BarrierTrigger) Observe(task.Result) {}
-
 // Reset is a no-op.
 func (t *BarrierTrigger) Reset(TriggerState) {}
 
@@ -199,9 +192,6 @@ func (t *WindowTrigger) Deadline(TriggerState) float64 { return t.windowEnd }
 func (t *WindowTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
-
-// Observe is a no-op.
-func (t *WindowTrigger) Observe(task.Result) {}
 
 // Reset opens the next window.
 func (t *WindowTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.Window }
@@ -272,9 +262,6 @@ func (t *CountTrigger) Decide(st TriggerState) TriggerDecision {
 	}
 	return TriggerWait
 }
-
-// Observe is a no-op.
-func (t *CountTrigger) Observe(task.Result) {}
 
 // Reset is a no-op.
 func (t *CountTrigger) Reset(TriggerState) {}
@@ -365,11 +352,6 @@ func (t *AdaptiveTrigger) Deadline(TriggerState) float64 { return t.windowEnd }
 func (t *AdaptiveTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
-
-// Observe is a no-op: the dispersion estimate is fed completion
-// latencies through ObserveLatency instead, so fault-driven relaunch
-// delay widens the window (raw per-attempt exec times would miss it).
-func (t *AdaptiveTrigger) Observe(task.Result) {}
 
 // ObserveLatency folds a completed MD segment's completion latency —
 // including relaunch retries — into the dispersion estimate
@@ -661,10 +643,6 @@ func (d *feedbackDim) effectiveMinReady(base int) int {
 	}
 	return base
 }
-
-// Observe is a no-op: the warm-up dispersion estimate is fed completion
-// latencies through ObserveLatency instead (see LatencyObserver).
-func (t *FeedbackTrigger) Observe(task.Result) {}
 
 // ObserveLatency folds a completed MD segment's completion latency —
 // including relaunch retries — into the warm-up dispersion estimate (the
