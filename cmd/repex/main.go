@@ -98,7 +98,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := setupLogging(*logLevel); err != nil {
+	if err := serve.SetupLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "repex:", err)
 		os.Exit(2)
 	}
@@ -119,18 +119,6 @@ func main() {
 		slog.Error("run failed", "error", err)
 		os.Exit(1)
 	}
-}
-
-// setupLogging installs the process-wide structured logger: key=value
-// text lines on stderr, filtered at the given level.
-func setupLogging(level string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: lv})))
-	return nil
 }
 
 // options are the command line: the two config files, checkpointing and

@@ -51,59 +51,72 @@ import (
 )
 
 func main() {
-	cfgPath := flag.String("config", "", "daemon JSON config file (internal/config.Daemon)")
-	listen := flag.String("listen", "", "host:port to bind (overrides the config file)")
-	totalCores := flag.Int("total-cores", -1, "shared core-pool capacity, 0 unbounded (overrides the config file)")
-	maxRuns := flag.Int("max-runs", -1, "concurrently active run bound, 0 unbounded (overrides the config file)")
-	logLevel := flag.String("log-level", "info", "stderr log threshold: debug, info, warn or error")
-	flag.Parse()
-	if err := setupLogging(*logLevel); err != nil {
+	o, err := parseArgs(os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "repexd:", err)
 		os.Exit(2)
 	}
-	if err := run(*cfgPath, *listen, *totalCores, *maxRuns); err != nil {
+	d, err := o.daemon()
+	if err == nil {
+		err = run(d)
+	}
+	if err != nil {
 		slog.Error("daemon failed", "error", err)
 		os.Exit(1)
 	}
 }
 
-// setupLogging installs the process-wide structured logger: key=value
-// text lines on stderr, filtered at the given level.
-func setupLogging(level string) error {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: lv})))
-	return nil
+// options is the command line: the optional config file and the flags
+// that override it.
+type options struct {
+	cfgPath, listen     string
+	totalCores, maxRuns int
 }
 
-func run(cfgPath, listen string, totalCores, maxRuns int) error {
-	var d config.Daemon
-	if cfgPath != "" {
-		data, err := os.ReadFile(cfgPath)
-		if err != nil {
-			return err
-		}
-		parsed, err := config.ParseDaemon(data)
-		if err != nil {
-			return err
-		}
-		d = *parsed
-	} else if err := d.Normalize(); err != nil {
-		return err
-	}
-	if listen != "" {
-		d.Listen = listen
-	}
-	if totalCores >= 0 {
-		d.TotalCores = totalCores
-	}
-	if maxRuns >= 0 {
-		d.MaxRuns = maxRuns
-	}
+// parseArgs parses the command line and installs the logger -log-level
+// asks for. Malformed flags exit through the flag package.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("repexd", flag.ExitOnError)
+	fs.StringVar(&o.cfgPath, "config", "", "daemon JSON config file (internal/config.Daemon)")
+	fs.StringVar(&o.listen, "listen", "", "host:port to bind (overrides the config file)")
+	fs.IntVar(&o.totalCores, "total-cores", -1, "shared core-pool capacity, 0 unbounded (overrides the config file)")
+	fs.IntVar(&o.maxRuns, "max-runs", -1, "concurrently active run bound, 0 unbounded (overrides the config file)")
+	logLevel := fs.String("log-level", "info", "stderr log threshold: debug, info, warn or error")
+	_ = fs.Parse(args)
+	return o, serve.SetupLogging(*logLevel)
+}
 
+// daemon reads the config file (defaults without one) and applies the
+// flag overrides: a non-empty -listen and a non-negative -total-cores
+// or -max-runs replace the file's value; -1 keeps it.
+func (o options) daemon() (*config.Daemon, error) {
+	d := &config.Daemon{}
+	if o.cfgPath != "" {
+		data, err := os.ReadFile(o.cfgPath)
+		if err != nil {
+			return nil, err
+		}
+		if d, err = config.ParseDaemon(data); err != nil {
+			return nil, err
+		}
+	} else if err := d.Normalize(); err != nil {
+		return nil, err
+	}
+	if o.listen != "" {
+		d.Listen = o.listen
+	}
+	if o.totalCores >= 0 {
+		d.TotalCores = o.totalCores
+	}
+	if o.maxRuns >= 0 {
+		d.MaxRuns = o.maxRuns
+	}
+	return d, nil
+}
+
+// run serves the daemon until its listener fails or a signal drains it.
+func run(d *config.Daemon) error {
 	reg := serve.NewRegistry(d.TotalCores, d.MaxRuns)
 	reg.SetLogger(slog.Default())
 	reg.SetTraceEvents(d.TraceEvents)

@@ -40,7 +40,7 @@ type mdFlight struct {
 	// not consume the replica's fault budget.
 	infra int
 	// rel counts replica-failure relaunches of this segment, so the
-	// segment's trace span can report how many retries it absorbed
+	// segment's MDEvent can report how many retries it absorbed
 	// (infra + rel) without decoding the replica's lifetime budget.
 	rel int
 }
@@ -65,18 +65,10 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 		return fmt.Errorf("core: snapshot was taken under trigger %q, resuming under %q",
 			spec.Resume.Trigger, tr.Name())
 	}
-	// Closed-loop policies are fed exchange outcomes through the
-	// observer hook; stateful ones additionally resume their controller
+	// Closed-loop and latency-adaptive policies observe every reported
+	// event (emit); stateful ones additionally resume their controller
 	// state, so a resumed run makes the same trigger decisions.
-	s.exObs, _ = tr.(ExchangeObserver)
-	// Latency-adaptive policies are fed each MD segment's completion
-	// latency — submission to final completion, including relaunch
-	// retries — rather than a raw per-attempt exec time.
-	latObs, _ := tr.(LatencyObserver)
-	// Feedback policies get a controller-decision span after each fire:
-	// publishExchange feeds ObserveExchange synchronously, so the fired
-	// dimension's control step has already run when the span is recorded.
-	fbTr, _ := tr.(*FeedbackTrigger)
+	s.obs, _ = tr.(Observer)
 	// Queued bus events are flushed once per dispatcher wakeup; the
 	// deferred flush covers error returns mid-round. Resource events are
 	// drained first (LIFO), so pilot lifecycle changes buffered by an
@@ -138,9 +130,9 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 	}
 
 	// absorb processes one completed MD segment, tracking deaths.
-	absorb := func(r *Replica, res task.Result, phase *PhaseRecord) {
-		s.finishMD(r, res, phase)
-		if !r.Alive {
+	absorb := func(f *mdFlight, res task.Result, phase *PhaseRecord) {
+		s.finishMD(f, res, phase)
+		if !f.r.Alive {
 			alive--
 		}
 	}
@@ -208,10 +200,8 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 		default:
 			return false
 		}
-		s.report.Relaunches++
-		s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+		s.emit(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
 			Kind: kind, Retries: retries, Exec: res.Exec})
-		s.recordFault(f.r.ID, kind, retries)
 		// The failed attempt is charged to the round it happened in.
 		mdAccum.absorb(res)
 		s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
@@ -237,10 +227,8 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 				f := owner[h]
 				delete(owner, h)
 				pending--
-				s.report.CancelledUnits++
-				s.publish(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
+				s.emit(FaultEvent{At: s.rt.Now(), Replica: f.r.ID,
 					Kind: FaultKindCancelled})
-				s.recordFault(f.r.ID, FaultKindCancelled, 0)
 				freeFlight(f)
 			}
 		}
@@ -253,7 +241,9 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 		}
 		if s.spec.OnSnapshot != nil {
 			s.spec.OnSnapshot(sn)
-			s.recordCheckpoint(event, "cancel")
+			if s.reporting() {
+				s.emit(CheckpointEvent{At: s.rt.Now(), Event: event, Cancel: true})
+			}
 		}
 		return fmt.Errorf("core: %w at exchange event %d", ErrRunCancelled, event)
 	}
@@ -293,12 +283,6 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 				if res.Failed() && relaunch(f, res) {
 					continue
 				}
-				if latObs != nil && !res.Failed() {
-					// Final completion of this segment: its latency spans
-					// back to the first submission, so fault-driven
-					// relaunch delay widens adaptive windows correctly.
-					latObs.ObserveLatency(s.rt.Now() - f.start)
-				}
 				if aligned {
 					// Deferred: the barrier processes the whole batch in
 					// submission order at fire time, matching the
@@ -306,8 +290,7 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 					done++
 					continue
 				}
-				absorb(f.r, res, &mdAccum)
-				s.recordMD(f, res)
+				absorb(f, res, &mdAccum)
 				if f.r.Alive {
 					ready = append(ready, f.r)
 					if f.r.Cycle < segBudget {
@@ -334,26 +317,19 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 				mdAccum = PhaseRecord{}
 				prep = 0
 				for _, f := range batch {
-					res := f.h.Result()
-					absorb(f.r, res, &rec.MD)
-					s.recordMD(f, res)
+					absorb(f, f.h.Result(), &rec.MD)
 					freeFlight(f)
 				}
 				batch = batch[:0]
 				done = 0
 				rec.MD.Wall = s.rt.Now() - mdStart
+				var ph ExchangePhase
 				if !spec.DisableExchange {
-					exStart := s.rt.Now()
-					s.exchangePhase(s.aliveReplicas(), dim, cycle, &rec)
-					rec.EX.Wall = s.rt.Now() - exStart
-					s.recordExchange(event, dim, exStart, &rec)
+					ph = s.exchangePhase(s.aliveReplicas(), dim, cycle, &rec)
+					rec.EX.Wall = s.rt.Now() - ph.Start
 				}
 				rec.Wall = s.rt.Now() - roundT0
-				s.report.Records = append(s.report.Records, rec)
-				s.report.ExchangeEvents++
-				s.snapshotSlots()
-				s.publishExchange(event, cycle, dim, &rec)
-				s.recordController(fbTr, dim, event)
+				s.finishExchange(event, &rec, ph)
 				if alive < 2 {
 					return fmt.Errorf("core: fewer than two replicas alive after cycle %d", cycle)
 				}
@@ -368,25 +344,20 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 				rec.MD.Wall = s.rt.Now() - roundT0
 				mdAccum = PhaseRecord{}
 				prep = 0
-				exStart := s.rt.Now()
+				var ph ExchangePhase
 				if !spec.DisableExchange {
-					s.exchangePhase(ready, dim, event, &rec)
-					s.recordExchange(event, dim, exStart, &rec)
+					ph = s.exchangePhase(ready, dim, event, &rec)
+					rec.EX.Wall = s.rt.Now() - ph.Start
 				}
-				rec.EX.Wall = s.rt.Now() - exStart
 				rec.Wall = rec.EX.Wall
-				s.report.Records = append(s.report.Records, rec)
-				s.report.ExchangeEvents++
-				s.snapshotSlots()
-				s.publishExchange(event, event, dim, &rec)
-				s.recordController(fbTr, dim, event)
+				s.finishExchange(event, &rec, ph)
 				event++
 				dim = event % ndims
 			}
 			if fired {
 				// Respace before the boundary's snapshot so a refit and
 				// the checkpoint that persists it land atomically.
-				s.maybeRespace(fbTr, event)
+				s.maybeRespace(tr, event)
 				if err := s.maybeSnapshot(tr, event); err != nil {
 					return err
 				}
@@ -454,8 +425,10 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 // belongs to exactly one group along d and to at most one pair per sweep
 // — so no pair's probability depends on another pair's swap, and the
 // result is bit-identical to the fully serial phase for any
-// Spec.ExchangeWorkers setting.
-func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *CycleRecord) {
+// Spec.ExchangeWorkers setting. The returned timeline feeds the event's
+// flight-recorder spans.
+func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *CycleRecord) ExchangePhase {
+	ph := ExchangePhase{Ran: true, Start: s.rt.Now()}
 	in := s.inScratch
 	for _, r := range participants {
 		if r.Alive {
@@ -468,7 +441,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	}
 	nGroups := len(off) - 1
 	if nGroups == 0 {
-		return
+		return ph
 	}
 
 	// Client-side preparation of exchange tasks.
@@ -479,7 +452,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	// Single-point energy tasks (salt exchange): one per replica, wide
 	// as its group, doubling the task count — the paper's stated cause
 	// of S-REMD's exchange cost.
-	speStart := s.rt.Now()
+	ph.SPEStart = s.rt.Now()
 	spe := s.speScratch[:0]
 	for gi := 0; gi < nGroups; gi++ {
 		for _, spec := range s.engine.SinglePointTasks(d, members[off[gi]:off[gi+1]], s.spec) {
@@ -491,7 +464,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 		for _, res := range s.rt.AwaitAll(spe) {
 			rec.EX.absorb(res)
 		}
-		s.recordSPE(d, sweep, len(spe), speStart)
+		ph.SPETasks, ph.SPEEnd = len(spe), s.rt.Now()
 	}
 
 	// The exchange-computation task itself (partner determination).
@@ -512,8 +485,7 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 	}
 	s.exPairs = pairs
 
-	pairStart := s.rt.Now()
-	a0 := rec.Accepted
+	ph.Swept, ph.SweepStart = true, s.rt.Now()
 
 	// Pre-draw one uniform per pair serially, in pair order: the RNG
 	// stream is independent of the worker count, which is what keeps the
@@ -553,5 +525,6 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 			s.applySwap(s.replicas[pr.I], s.replicas[pr.J])
 		}
 	}
-	s.recordPairs(d, sweep, len(pairs), rec.Accepted-a0, pairStart)
+	ph.Attempted, ph.Accepted = rec.Attempted, rec.Accepted
+	return ph
 }

@@ -277,7 +277,7 @@ func TestAdaptiveWindowTracksDispersion(t *testing.T) {
 	// dispersion and check the adapted window expands with the spread.
 	observe := func(tr *core.AdaptiveTrigger, lats []float64) float64 {
 		for _, e := range lats {
-			tr.ObserveLatency(e)
+			tr.Observe(core.MDEvent{At: e})
 		}
 		tr.Reset(core.TriggerState{Now: 1000})
 		return tr.Deadline(core.TriggerState{}) - 1000

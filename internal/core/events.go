@@ -5,20 +5,25 @@ import (
 	"sync/atomic"
 )
 
-// Typed event bus: the dispatcher publishes one record per MD completion,
-// exchange event and fault action, and online consumers (the analysis
-// collector, the status server, tests) subscribe without ever touching
-// the hot loop's control flow. Publish is strictly non-blocking: each
-// subscriber owns a bounded ring buffer, and when a slow consumer lets
-// its ring fill up the oldest events are overwritten (and counted as
-// dropped) rather than stalling the publisher. A stalled subscriber
-// therefore cannot change the simulation's behaviour — only its own view
-// of it.
+// Typed event bus: the dispatcher's report path (emit, in spine.go)
+// queues every MD completion, exchange event, fault action, pilot
+// lifecycle change and ladder re-fit on it, and online consumers (the
+// analysis collector, the status server, SSE streams, tests) subscribe
+// without ever touching the hot loop's control flow. Publish is
+// strictly non-blocking: each subscriber owns a bounded ring buffer,
+// and when a slow consumer lets its ring fill up the oldest events are
+// overwritten (and counted as dropped) rather than stalling the
+// publisher. A stalled subscriber therefore cannot change the
+// simulation's behaviour — only its own view of it.
+//
+// Fields tagged json:"-" are span detail for the flight recorder; the
+// bus carries them in memory, but they never reach an SSE payload.
 
-// Event is one record published on the Bus: MDEvent, ExchangeEvent or
-// FaultEvent.
+// Event is one fact the dispatcher reports: MDEvent, ExchangeEvent,
+// FaultEvent, ResourceEvent, RespaceEvent or CheckpointEvent. All but
+// CheckpointEvent are also published on the Bus.
 type Event interface {
-	// When is the virtual runtime time the event was published at.
+	// When is the virtual runtime time the event was reported at.
 	When() float64
 }
 
@@ -35,7 +40,20 @@ type MDEvent struct {
 	Exec float64
 	// Failed marks a terminal failure (the replica was dropped).
 	Failed bool
+	// Start is the segment's first submission and Finished its final
+	// attempt's completion; Dim is the dimension it was submitted under,
+	// Pilot the pilot that ran the final attempt and Retries the
+	// relaunches and resource-loss resubmissions it absorbed.
+	Start    float64 `json:"-"`
+	Finished float64 `json:"-"`
+	Dim      int     `json:"-"`
+	Pilot    int     `json:"-"`
+	Retries  int     `json:"-"`
 }
+
+// Latency is the segment's completion latency: first submission to the
+// report, every relaunch retry and queueing delay included.
+func (e MDEvent) Latency() float64 { return e.At - e.Start }
 
 // When returns the publication time.
 func (e MDEvent) When() float64 { return e.At }
@@ -70,6 +88,27 @@ type ExchangeEvent struct {
 	// MDWall and EXWall are the MD-collection and exchange-phase wall
 	// times of the event's record.
 	MDWall, EXWall float64
+	// Phase times the exchange phase for the flight recorder.
+	Phase ExchangePhase `json:"-"`
+}
+
+// ExchangePhase is the timeline of one exchange phase. All times are
+// runtime clock instants; the phase ends at its ExchangeEvent's At.
+type ExchangePhase struct {
+	// Ran reports the phase ran (false under Spec.DisableExchange);
+	// Start is when it began.
+	Ran   bool
+	Start float64
+	// Attempted and Accepted count the phase's pairs.
+	Attempted, Accepted int
+	// SPETasks counts the single-point-energy tasks of a salt
+	// dimension's wave, which ran from SPEStart to SPEEnd.
+	SPETasks         int
+	SPEStart, SPEEnd float64
+	// Swept reports the Metropolis pair sweep ran (some exchange group
+	// had two live participants); SweepStart is when it began.
+	Swept      bool
+	SweepStart float64
 }
 
 // When returns the publication time.
@@ -148,6 +187,20 @@ type RespaceEvent struct {
 
 // When returns the publication time.
 func (e RespaceEvent) When() float64 { return e.At }
+
+// CheckpointEvent records one snapshot delivered to Spec.OnSnapshot. It
+// is reported to the trigger and the flight recorder but never
+// published on the bus.
+type CheckpointEvent struct {
+	At float64
+	// Event is the exchange-event count the snapshot was taken at.
+	Event int
+	// Cancel marks the final snapshot of a cancelled run.
+	Cancel bool
+}
+
+// When returns the delivery time.
+func (e CheckpointEvent) When() float64 { return e.At }
 
 // Bus fans events out to subscribers. The zero value is not usable; use
 // NewBus. A nil *Bus is a valid "disabled" bus for Spec.Bus.

@@ -106,11 +106,13 @@ type RespaceRecord struct {
 // the checkpoint that persists it are atomic). For every dimension whose
 // controller has been saturated past the persistence threshold it asks
 // the planner for a re-fitted ladder, sanity-checks the proposal, swaps
-// the grid, resets the dimension's controller and publishes a
-// RespaceEvent. No RNG draws and no virtual time pass here, so a run
-// that never refits is bit-identical with respacing on or off.
-func (s *Simulation) maybeRespace(fb *FeedbackTrigger, event int) {
+// the grid, resets the dimension's controller and reports a
+// RespaceEvent. Only the feedback trigger measures saturation, so other
+// policies never refit. No RNG draws and no virtual time pass here, so
+// a run that never refits is bit-identical with respacing on or off.
+func (s *Simulation) maybeRespace(tr Trigger, event int) {
 	rs := s.spec.Respace
+	fb, _ := tr.(*FeedbackTrigger)
 	if rs == nil || rs.Planner == nil || fb == nil {
 		return
 	}
@@ -144,10 +146,9 @@ func (s *Simulation) maybeRespace(fb *FeedbackTrigger, event int) {
 			Old: old, New: append([]float64(nil), next...),
 		})
 		s.respaceMu.Unlock()
-		s.publish(RespaceEvent{At: s.rt.Now(), Event: event, Dim: d,
+		s.emit(RespaceEvent{At: s.rt.Now(), Event: event, Dim: d,
 			Refit: refit, Old: old, New: append([]float64(nil), next...)})
 		s.flushBus()
-		s.recordRespace(d, event, refit)
 	}
 }
 

@@ -282,7 +282,7 @@ func TestHistoryTailValidation(t *testing.T) {
 // while every per-attempt execution time in the run is 10s. A
 // dispersion estimate built from per-attempt exec times would see zero
 // spread and collapse the window to its lower clamp; the completion
-// latency the dispatcher now feeds through ObserveLatency includes the
+// latency the dispatcher now feeds through Observe includes the
 // fault-driven delay, so the adapted window must widen well past the
 // initial one.
 func TestAdaptiveWindowWidensUnderRelaunch(t *testing.T) {

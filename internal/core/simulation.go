@@ -33,13 +33,13 @@ type Simulation struct {
 	// slot-to-window-index conversion when publishing pair outcomes.
 	dimStride []int
 	// pairScratch accumulates the current exchange event's pair outcomes
-	// for the event bus and the trigger's ExchangeObserver hook (nil
-	// while neither consumer is attached).
+	// for the event bus and an observing trigger (nil while neither
+	// consumer is attached).
 	pairScratch []PairOutcome
-	// exObs is the running trigger's ExchangeObserver side, set by
-	// dispatch for closed-loop policies (nil otherwise).
-	exObs ExchangeObserver
-	rng   *rand.Rand
+	// obs is the running trigger when it is an Observer, set by dispatch
+	// (nil otherwise).
+	obs Observer
+	rng *rand.Rand
 	// rngDraws counts uniforms consumed from rng, so a Snapshot can
 	// restore the exact RNG state by replaying the draw count.
 	rngDraws int64
@@ -67,8 +67,7 @@ type Simulation struct {
 	// busBatch accumulates a collection round's bus events for one
 	// batched Bus.PublishBatch call per dispatcher wakeup.
 	busBatch []Event
-	// tracer is the optional flight recorder (Spec.Tracer); the
-	// record* helpers in tracer.go no-op while it is nil.
+	// tracer is the optional flight recorder (Spec.Tracer).
 	tracer *trace.Recorder
 
 	// respaceMu guards the fields a live ladder re-fit rewrites against
@@ -219,66 +218,39 @@ func (s *Simulation) SlotParams(slot int) md.Params { return s.slotParams[slot] 
 // point — the dispatcher resubmits them as fresh events (see dispatch),
 // so a result that arrives here failed has exhausted its retry budget
 // (or runs under FaultDrop) and removes the replica.
-func (s *Simulation) finishMD(r *Replica, res task.Result, phase *PhaseRecord) {
+func (s *Simulation) finishMD(f *mdFlight, res task.Result, phase *PhaseRecord) {
+	r := f.r
 	phase.absorb(res)
 	s.report.MDExecCoreSeconds += res.Exec * float64(res.Spec.Cores)
 	if res.Failed() {
 		r.Alive = false
-		s.report.Dropped++
-		s.publish(MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
-			Exec: res.Exec, Failed: true})
-		s.publish(FaultEvent{At: s.rt.Now(), Replica: r.ID,
+	} else {
+		r.Cycle++
+		r.Energy = s.engine.OwnEnergy(r)
+	}
+	if s.reporting() {
+		s.emit(MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
+			Exec: res.Exec, Failed: res.Failed(), Start: f.start, Finished: res.Finished,
+			Dim: f.dim, Pilot: res.Pilot, Retries: f.infra + f.rel})
+	}
+	if res.Failed() {
+		s.emit(FaultEvent{At: s.rt.Now(), Replica: r.ID,
 			Kind: FaultKindDrop, Retries: r.Retries})
-		s.recordFault(r.ID, FaultKindDrop, r.Retries)
-		return
-	}
-	r.Cycle++
-	r.Energy = s.engine.OwnEnergy(r)
-	s.publish(MDEvent{At: s.rt.Now(), Replica: r.ID, Cycle: r.Cycle,
-		Exec: res.Exec})
-}
-
-// publish queues one event for the next batched bus flush; a no-op
-// without a bus. Queued events reach subscribers in publication order
-// when the dispatcher calls flushBus (once per wakeup / exchange event),
-// which takes each subscriber's ring lock once per batch instead of once
-// per event.
-func (s *Simulation) publish(ev Event) {
-	if s.spec.Bus != nil {
-		s.busBatch = append(s.busBatch, ev)
 	}
 }
 
-// flushBus delivers the queued event batch to the bus.
-func (s *Simulation) flushBus() {
-	if len(s.busBatch) == 0 {
-		return
-	}
-	s.spec.Bus.PublishBatch(s.busBatch)
-	for i := range s.busBatch {
-		s.busBatch[i] = nil
-	}
-	s.busBatch = s.busBatch[:0]
-}
-
-// drainResourceEvents pulls buffered pilot lifecycle events out of an
-// elastic runtime (one implementing task.ResourceReporter) into the
-// observability pipeline: each is queued on the bus as a ResourceEvent,
-// mirrored onto the flight recorder, and preemption notices bump the
-// report counter. Runtimes without the interface make this a no-op, and
-// nothing here touches the RNG stream or the virtual clock.
+// drainResourceEvents reports the buffered pilot lifecycle events of an
+// elastic runtime (one implementing task.ResourceReporter) as
+// ResourceEvents. Runtimes without the interface make this a no-op,
+// and nothing here touches the RNG stream or the virtual clock.
 func (s *Simulation) drainResourceEvents() {
 	rr, ok := s.rt.(task.ResourceReporter)
 	if !ok {
 		return
 	}
 	for _, ev := range rr.DrainResourceEvents() {
-		if ev.Kind == task.ResourcePreempt {
-			s.report.Preemptions++
-		}
-		s.publish(ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind,
+		s.emit(ResourceEvent{At: ev.At, Pilot: ev.Pilot, Kind: ev.Kind,
 			Cores: ev.Cores, Delta: ev.Delta, Notice: ev.Notice})
-		s.recordResource(ev)
 	}
 }
 
@@ -288,19 +260,19 @@ func (s *Simulation) coordAlong(slot, d int) int {
 }
 
 // wantsPairOutcomes reports whether anyone consumes per-pair exchange
-// outcomes: the event bus or a closed-loop trigger's observer hook.
+// outcomes: the event bus or an observing trigger.
 func (s *Simulation) wantsPairOutcomes() bool {
-	return s.spec.Bus != nil || s.exObs != nil
+	return s.spec.Bus != nil || s.obs != nil
 }
 
-// publishExchange emits the ExchangeEvent record of the exchange event
-// that just completed; called by the dispatcher right after
-// snapshotSlots, so Slots shares the freshly appended history row. The
-// trigger's ExchangeObserver hook (closed-loop policies) is fed first,
-// synchronously — it can never lose events to ring overflow — then the
-// bus fans the same record out to its subscribers.
-func (s *Simulation) publishExchange(event, cycle, dim int, rec *CycleRecord) {
-	if !s.wantsPairOutcomes() {
+// finishExchange books one fired exchange event — its record, its slot
+// history row — and reports it as an ExchangeEvent whose Slots share
+// the freshly appended history row.
+func (s *Simulation) finishExchange(event int, rec *CycleRecord, ph ExchangePhase) {
+	s.report.Records = append(s.report.Records, *rec)
+	s.report.ExchangeEvents++
+	s.snapshotSlots()
+	if !s.reporting() {
 		return
 	}
 	pairs := s.pairScratch
@@ -309,12 +281,8 @@ func (s *Simulation) publishExchange(event, cycle, dim int, rec *CycleRecord) {
 	if n := len(s.report.SlotHistory); n > 0 {
 		row = s.report.SlotHistory[n-1]
 	}
-	ev := ExchangeEvent{At: s.rt.Now(), Event: event, Cycle: cycle,
-		Dim: dim, Pairs: pairs, Slots: row, MDWall: rec.MD.Wall, EXWall: rec.EX.Wall}
-	if s.exObs != nil {
-		s.exObs.ObserveExchange(ev)
-	}
-	s.publish(ev)
+	s.emit(ExchangeEvent{At: s.rt.Now(), Event: event, Cycle: rec.Cycle, Dim: rec.Dim,
+		Pairs: pairs, Slots: row, MDWall: rec.MD.Wall, EXWall: rec.EX.Wall, Phase: ph})
 	s.flushBus()
 }
 

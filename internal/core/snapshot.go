@@ -193,7 +193,9 @@ func (s *Simulation) maybeSnapshot(tr Trigger, events int) error {
 		return err
 	}
 	s.spec.OnSnapshot(sn)
-	s.recordCheckpoint(events, "")
+	if s.reporting() {
+		s.emit(CheckpointEvent{At: s.rt.Now(), Event: events})
+	}
 	return nil
 }
 

@@ -228,3 +228,59 @@ func TestTracerCheckpointSpans(t *testing.T) {
 		t.Fatalf("%d checkpoint spans, want 2 (4 events at SnapshotEvery=2)", ckpts)
 	}
 }
+
+// TestTracerDropOrderMatchesBus: a dropped replica's terminal segment
+// is reported once, so the flight recorder and the bus agree on the
+// order — the failed MD span/event first, the drop fault right after.
+func TestTracerDropOrderMatchesBus(t *testing.T) {
+	cfg := quietCluster()
+	cfg.FailureProb = 1 // kills exactly the flakyEngine's CanFail task
+	cfg.SpeedFactor = 1
+	rec := trace.New(0)
+	bus := core.NewBus()
+	sub := bus.Subscribe(1 << 12)
+	spec := &core.Spec{
+		Name:            "trace-drop",
+		Dims:            []core.Dimension{{Type: exchange.Temperature, Values: core.GeometricTemperatures(273, 373, 6)}},
+		Pattern:         core.PatternSynchronous,
+		CoresPerReplica: 1,
+		StepsPerCycle:   100,
+		Cycles:          2,
+		FaultPolicy:     core.FaultDrop,
+		Seed:            13,
+		Tracer:          rec,
+		Bus:             bus,
+	}
+	rep := runVirtualEngine(t, spec, cfg, 6, &flakyEngine{fastDur: 10, failDur: 100, slowDur: 50})
+	if rep.Dropped != 1 {
+		t.Fatalf("dropped %d replicas, want 1 (flaky engine contract)", rep.Dropped)
+	}
+
+	spans := rec.Snapshot()
+	spanAt := -1
+	for i, sp := range spans {
+		if sp.Kind == trace.KindMD && sp.Label == "failed" {
+			spanAt = i
+		}
+	}
+	if spanAt < 0 || spanAt+1 >= len(spans) {
+		t.Fatalf("no failed MD span followed by another span in %d spans", len(spans))
+	}
+	if f := spans[spanAt+1]; f.Kind != trace.KindFault || f.Label != core.FaultKindDrop || f.Replica != spans[spanAt].Replica {
+		t.Fatalf("span after the failed MD span is %+v, want the replica's drop fault", f)
+	}
+
+	events := sub.Drain(nil)
+	evAt := -1
+	for i, ev := range events {
+		if md, ok := ev.(core.MDEvent); ok && md.Failed {
+			evAt = i
+		}
+	}
+	if evAt < 0 || evAt+1 >= len(events) {
+		t.Fatalf("no failed MD event followed by another event in %d events", len(events))
+	}
+	if f, ok := events[evAt+1].(core.FaultEvent); !ok || f.Kind != core.FaultKindDrop {
+		t.Fatalf("event after the failed MD event is %+v, want the drop fault", events[evAt+1])
+	}
+}

@@ -74,31 +74,22 @@ type Trigger interface {
 	Reset(st TriggerState)
 }
 
-// ExchangeObserver is an optional Trigger extension: a policy that also
-// implements it is fed every completed exchange event's outcomes by the
-// dispatcher, synchronously and independently of Spec.Bus. This is the
-// feedback path of closed-loop policies (FeedbackTrigger): unlike a bus
-// subscription, the hook cannot drop events, so resumed runs replay the
-// same controller inputs deterministically.
-type ExchangeObserver interface {
-	// ObserveExchange is invoked right after the dispatcher publishes an
-	// exchange event, before the next collection round opens. The event
-	// (including its Pairs and Slots slices) is shared with other
-	// consumers and must not be mutated or retained.
-	ObserveExchange(ev ExchangeEvent)
-}
-
-// LatencyObserver is an optional Trigger extension: a policy that also
-// implements it is fed each MD segment's completion latency — first
-// submission to final successful completion, including every relaunch
-// retry and any queueing delay. This is the dispersion signal
-// window-adapting policies (AdaptiveTrigger, FeedbackTrigger's warm-up)
-// track: raw per-attempt exec times would miss fault-driven delay
-// entirely, so a flaky replica would never widen the window.
-type LatencyObserver interface {
-	// ObserveLatency is invoked once per finally-completed MD segment
-	// with its completion latency in runtime seconds.
-	ObserveLatency(latency float64)
+// Observer is an optional Trigger extension: a policy that also
+// implements it is fed every event the dispatcher reports, first and
+// synchronously, independently of Spec.Bus. This is the input path of
+// closed-loop and window-adapting policies: FeedbackTrigger's
+// controller reads each ExchangeEvent's outcomes, and AdaptiveTrigger
+// (like FeedbackTrigger's warm-up) tracks each MDEvent's Latency —
+// first submission to final completion, so fault-driven relaunch delay
+// widens the window where raw per-attempt exec times would miss it.
+// Unlike a bus subscription, observation cannot drop events, so a
+// resumed run replays the same controller inputs deterministically.
+type Observer interface {
+	// Observe is invoked once per reported event, before the next
+	// collection round opens. The event (including an ExchangeEvent's
+	// Pairs and Slots slices) is shared with other consumers and must
+	// not be mutated or retained.
+	Observe(ev Event)
 }
 
 // StatefulTrigger is an optional Trigger extension for policies whose
@@ -272,8 +263,8 @@ func (t *CountTrigger) Reset(TriggerState) {}
 // execStats is a Welford accumulator over completed MD segments'
 // completion latencies (submission to final completion, including
 // relaunch retries): the dispersion estimate behind the adaptive window
-// (AdaptiveTrigger, and FeedbackTrigger's warm-up fallback). The
-// dispatcher feeds it through the LatencyObserver hook.
+// (AdaptiveTrigger, and FeedbackTrigger's warm-up fallback), fed from
+// each successful MDEvent's Latency.
 type execStats struct {
 	n        int
 	mean, m2 float64
@@ -353,10 +344,13 @@ func (t *AdaptiveTrigger) Decide(st TriggerState) TriggerDecision {
 	return windowDecision(st, t.windowEnd, t.MinReady)
 }
 
-// ObserveLatency folds a completed MD segment's completion latency —
-// including relaunch retries — into the dispersion estimate
-// (LatencyObserver).
-func (t *AdaptiveTrigger) ObserveLatency(latency float64) { t.stats.add(latency) }
+// Observe folds each completed MD segment's completion latency —
+// including relaunch retries — into the dispersion estimate (Observer).
+func (t *AdaptiveTrigger) Observe(ev Event) {
+	if md, ok := ev.(MDEvent); ok && !md.Failed {
+		t.stats.add(md.Latency())
+	}
+}
 
 // window returns the current adapted window length.
 func (t *AdaptiveTrigger) window() float64 {
@@ -415,7 +409,7 @@ const DefaultTargetAcceptance = 0.3
 // FeedbackTrigger is a window trigger that closes the loop on the
 // quantity REMD is actually judged by: the neighbour-pair acceptance
 // ratio. The dispatcher feeds it every exchange event's outcomes
-// through the ExchangeObserver hook, and it runs one independent PI
+// through its Observe method, and it runs one independent PI
 // controller per exchange dimension: a temperature ladder and an
 // umbrella ladder have very different natural acceptance, so a
 // multi-dimensional grid (the paper's TSU/TUU runs) must not steer
@@ -644,13 +638,21 @@ func (d *feedbackDim) effectiveMinReady(base int) int {
 	return base
 }
 
-// ObserveLatency folds a completed MD segment's completion latency —
-// including relaunch retries — into the warm-up dispersion estimate (the
-// AdaptiveTrigger fallback).
-func (t *FeedbackTrigger) ObserveLatency(latency float64) {
-	t.mu.Lock()
-	t.warm.add(latency)
-	t.mu.Unlock()
+// Observe feeds the controller (Observer): a completed MD segment's
+// completion latency — including relaunch retries — goes into the
+// warm-up dispersion estimate (the AdaptiveTrigger fallback), an
+// exchange event's outcomes into its dimension's controller.
+func (t *FeedbackTrigger) Observe(ev Event) {
+	switch e := ev.(type) {
+	case MDEvent:
+		if !e.Failed {
+			t.mu.Lock()
+			t.warm.add(e.Latency())
+			t.mu.Unlock()
+		}
+	case ExchangeEvent:
+		t.observeExchange(e)
+	}
 }
 
 // dim returns dimension d's controller, growing the per-dimension
@@ -665,13 +667,13 @@ func (t *FeedbackTrigger) dim(d int) *feedbackDim {
 	return &t.dims[d]
 }
 
-// ObserveExchange feeds the exchange event's true-neighbour outcomes
+// observeExchange feeds the exchange event's true-neighbour outcomes
 // into its dimension's rolling measurement ring and, once that ring
 // has filled, applies one PI control step to that dimension's
 // actuators. Gap pairs (Hi > Lo+1) are excluded, and events
 // contributing no fresh neighbour outcome apply no step — stale
 // measurements must not keep pushing the window.
-func (t *FeedbackTrigger) ObserveExchange(ev ExchangeEvent) {
+func (t *FeedbackTrigger) observeExchange(ev ExchangeEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	dd := t.dim(ev.Dim)

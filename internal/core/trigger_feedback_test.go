@@ -28,7 +28,7 @@ func feedFill(t *core.FeedbackTrigger) {
 		if _, n := t.Acceptance(); n >= t.WindowEvents {
 			return
 		}
-		t.ObserveExchange(neighbourEvent(i%2 == 0))
+		t.Observe(neighbourEvent(i%2 == 0))
 	}
 }
 
@@ -55,7 +55,7 @@ func TestFeedbackControllerConvergence(t *testing.T) {
 	// until it parks at the upper clamp.
 	prev := tr.Window()
 	for i := 0; i < 40; i++ {
-		tr.ObserveExchange(neighbourEvent(false, false))
+		tr.Observe(neighbourEvent(false, false))
 		w := tr.Window()
 		if w < lo-1e-9 || w > hi+1e-9 {
 			t.Fatalf("window %v escaped clamps [%v, %v]", w, lo, hi)
@@ -71,7 +71,7 @@ func TestFeedbackControllerConvergence(t *testing.T) {
 
 	// Flood it: all-accepted windows must narrow to the lower clamp.
 	for i := 0; i < 60; i++ {
-		tr.ObserveExchange(neighbourEvent(true, true))
+		tr.Observe(neighbourEvent(true, true))
 	}
 	if w := tr.Window(); w != lo {
 		t.Fatalf("window settled at %v under persistent acceptance, want lower clamp %v", w, lo)
@@ -80,7 +80,7 @@ func TestFeedbackControllerConvergence(t *testing.T) {
 	// Hysteresis: holding exactly the target leaves the window alone.
 	at := tr.Window()
 	for i := 0; i < 16; i++ {
-		tr.ObserveExchange(neighbourEvent(true, false))
+		tr.Observe(neighbourEvent(true, false))
 	}
 	if w := tr.Window(); w != at {
 		t.Fatalf("window moved (%v -> %v) while measured acceptance equals the target", at, w)
@@ -96,7 +96,7 @@ func TestFeedbackIgnoresGapPairs(t *testing.T) {
 	tr.WindowEvents = 8
 	gap := core.ExchangeEvent{Pairs: []core.PairOutcome{{Lo: 0, Hi: 2, Accepted: true}}}
 	for i := 0; i < 50; i++ {
-		tr.ObserveExchange(gap)
+		tr.Observe(gap)
 	}
 	if _, n := tr.Acceptance(); n != 0 {
 		t.Fatalf("gap pairs entered the measurement window: %d outcomes", n)
@@ -108,11 +108,11 @@ func TestFeedbackIgnoresGapPairs(t *testing.T) {
 	// Activate, park the measurement below target, then verify stale
 	// gap-only events stop pushing the window further.
 	for i := 0; i < 8; i++ {
-		tr.ObserveExchange(neighbourEvent(false))
+		tr.Observe(neighbourEvent(false))
 	}
 	at := tr.Window()
 	for i := 0; i < 50; i++ {
-		tr.ObserveExchange(gap)
+		tr.Observe(gap)
 	}
 	if w := tr.Window(); w != at {
 		t.Fatalf("stale measurement kept pushing the window (%v -> %v)", at, w)
@@ -127,7 +127,7 @@ func TestFeedbackStateRoundTrip(t *testing.T) {
 	a.Target = 0.4
 	a.WindowEvents = 8
 	for i := 0; i < 12; i++ {
-		a.ObserveExchange(neighbourEvent(i%3 == 0, i%2 == 0))
+		a.Observe(neighbourEvent(i%3 == 0, i%2 == 0))
 	}
 	data, err := a.EncodeState()
 	if err != nil {
@@ -149,8 +149,8 @@ func TestFeedbackStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored window %v, want %v", b.Window(), a.Window())
 	}
 	next := neighbourEvent(true, false, false)
-	a.ObserveExchange(next)
-	b.ObserveExchange(next)
+	a.Observe(next)
+	b.Observe(next)
 	if a.Window() != b.Window() {
 		t.Fatalf("controllers diverged after one event: %v vs %v", b.Window(), a.Window())
 	}
@@ -168,7 +168,7 @@ func TestAdaptiveStateRoundTrip(t *testing.T) {
 	mk := func() *core.AdaptiveTrigger { return core.NewAdaptiveTrigger(100) }
 	a := mk()
 	for _, lat := range []float64{90, 110, 130, 95, 140} {
-		a.ObserveLatency(lat)
+		a.Observe(core.MDEvent{At: lat})
 	}
 	data, err := a.EncodeState()
 	if err != nil {
@@ -332,8 +332,8 @@ func TestFeedbackPerDimIndependence(t *testing.T) {
 	// Fill both dims at their targets: dim 0 alternating (0.5), dim 1
 	// one accept per three rejects (0.25).
 	for i := 0; i < 8; i++ {
-		tr.ObserveExchange(dimEvent(0, i%2 == 0))
-		tr.ObserveExchange(dimEvent(1, i%4 == 0))
+		tr.Observe(dimEvent(0, i%2 == 0))
+		tr.Observe(dimEvent(1, i%4 == 0))
 	}
 	st := tr.ControllerStatus()
 	if len(st) != 2 {
@@ -349,7 +349,7 @@ func TestFeedbackPerDimIndependence(t *testing.T) {
 
 	// Starve dim 0 only.
 	for i := 0; i < 20; i++ {
-		tr.ObserveExchange(dimEvent(0, false, false))
+		tr.Observe(dimEvent(0, false, false))
 	}
 	if got := tr.WindowFor(0); got <= w0 {
 		t.Fatalf("dim-0 window %v did not widen from %v under rejection", got, w0)
@@ -385,7 +385,7 @@ func TestFeedbackSaturationDiagnostic(t *testing.T) {
 	// Unreachable from below: persistent rejection.
 	var windows []float64
 	for i := 0; i < 40; i++ {
-		tr.ObserveExchange(dimEvent(0, false, false))
+		tr.Observe(dimEvent(0, false, false))
 		windows = append(windows, tr.WindowFor(0))
 	}
 	st := tr.ControllerStatus()[0]
@@ -419,7 +419,7 @@ func TestFeedbackSaturationDiagnostic(t *testing.T) {
 	// Anti-windup: the integral must not have wound up during the
 	// pinned stretch, so recovery is prompt once acceptance returns.
 	for i := 0; i < 12; i++ {
-		tr.ObserveExchange(dimEvent(0, true, true))
+		tr.Observe(dimEvent(0, true, true))
 	}
 	st = tr.ControllerStatus()[0]
 	if st.Saturated {
@@ -442,7 +442,7 @@ func TestFeedbackMinReadyActuatorNarrow(t *testing.T) {
 	tr.WindowEvents = 8
 	feedFill(tr)
 	for i := 0; i < 60; i++ {
-		tr.ObserveExchange(dimEvent(0, true, true))
+		tr.Observe(dimEvent(0, true, true))
 	}
 	st := tr.ControllerStatus()[0]
 	if !st.Saturated || st.Window != 100.0/8 {
@@ -471,8 +471,8 @@ func TestFeedbackPerDimStateRoundTrip(t *testing.T) {
 	}
 	a := mk()
 	for i := 0; i < 14; i++ {
-		a.ObserveExchange(dimEvent(0, i%2 == 0, i%3 == 0))
-		a.ObserveExchange(dimEvent(1, true, true)) // drives dim 1 to saturation
+		a.Observe(dimEvent(0, i%2 == 0, i%3 == 0))
+		a.Observe(dimEvent(1, true, true)) // drives dim 1 to saturation
 	}
 	data, err := a.EncodeState()
 	if err != nil {
@@ -494,8 +494,8 @@ func TestFeedbackPerDimStateRoundTrip(t *testing.T) {
 	// Same response to the next event on each dim.
 	for d := 0; d < 2; d++ {
 		ev := dimEvent(d, true, false, false)
-		a.ObserveExchange(ev)
-		b.ObserveExchange(ev)
+		a.Observe(ev)
+		b.Observe(ev)
 		if a.WindowFor(d) != b.WindowFor(d) {
 			t.Fatalf("dim %d diverged after one post-restore event", d)
 		}

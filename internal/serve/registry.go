@@ -441,6 +441,8 @@ func writeSSE(w io.Writer, ev core.Event) {
 		name = "exchange"
 	case core.FaultEvent:
 		name = "fault"
+	case core.ResourceEvent:
+		name = "resource"
 	case core.RespaceEvent:
 		name = "respace"
 	}

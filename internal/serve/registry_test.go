@@ -639,3 +639,40 @@ func TestRegistryMetricsNoCollision(t *testing.T) {
 		t.Fatal("aggregate scrape missing the pool gauges")
 	}
 }
+
+// TestRegistrySSENamesResourceEvents: pilot lifecycle changes driven by
+// a chaos plan reach a run's SSE stream as "resource" events, never as
+// the generic "event" name. The plan resizes the pilot late in a long
+// run, so the stream is connected before the changes happen.
+func TestRegistrySSENamesResourceEvents(t *testing.T) {
+	_, ts := newDaemon(t, 0, 0)
+	res := `{"machine": "small", "nodes": 2, "cores_per_node": 8, "pilot_cores": 8, "chaos": [
+		{"at_sec": 150000, "pilot": 0, "kind": "resize", "cores": 1},
+		{"at_sec": 200000, "pilot": 0, "kind": "resize", "cores": -1},
+		{"at_sec": 250000, "pilot": 0, "kind": "resize", "cores": 1},
+		{"at_sec": 300000, "pilot": 0, "kind": "resize", "cores": -1}]}`
+	st, code := postRun(t, ts.URL, launchBody(simBody("sse-chaos", 8, 5000, 5), res, ""))
+	if code != http.StatusCreated {
+		t.Fatalf("launch: %d", code)
+	}
+	resizes := 0
+	for _, ev := range readSSE(t, ts.URL+"/runs/"+st.ID+"/events") {
+		switch ev.name {
+		case "event":
+			t.Fatalf("unnamed SSE event: %s", ev.data)
+		case "resource":
+			var e struct {
+				Kind string
+			}
+			if err := json.Unmarshal(ev.data, &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Kind == "resize" {
+				resizes++
+			}
+		}
+	}
+	if resizes == 0 {
+		t.Fatal("no resize reached the SSE stream as a resource event")
+	}
+}

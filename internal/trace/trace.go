@@ -1,11 +1,13 @@
 // Package trace is the run flight recorder: a low-overhead, bounded
-// span log of one simulation's timeline. The dispatcher records one
-// Span per MD segment, exchange phase (with pair-eval and single-point
-// sub-spans), checkpoint write, controller decision and fault action;
-// the Recorder keeps the most recent spans in a fixed ring with
-// drop-oldest semantics and a drop counter, mirroring the event bus
-// discipline — recording never blocks and never grows, so an attached
-// recorder cannot perturb the run it observes.
+// span log of one simulation's timeline. Core's report spine (emit in
+// internal/core/spine.go) turns each reported event into spans — one
+// per MD segment, exchange phase (with pair-eval and single-point
+// sub-spans), checkpoint write, controller decision, fault action,
+// pilot lifecycle change and ladder re-fit; the Recorder keeps the
+// most recent spans in a fixed ring with drop-oldest semantics and a
+// drop counter, mirroring the event bus discipline — recording never
+// blocks and never grows, so an attached recorder cannot perturb the
+// run it observes.
 //
 // Spans carry virtual-time instants (the simulation clock in seconds),
 // which makes the recorded timeline reproducible run-to-run under the
