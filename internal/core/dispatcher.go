@@ -503,7 +503,8 @@ func (s *Simulation) exchangePhase(participants []*Replica, d, sweep int, rec *C
 
 	// Decisions and swaps, serially in pair order (client side,
 	// negligible cost).
-	wantOut := s.wantsPairOutcomes()
+	// Per-pair outcomes feed the bus and an observing trigger.
+	wantOut := s.spec.Bus != nil || s.obs != nil
 	for i, pr := range pairs {
 		rec.Attempted++
 		accepted := unis[i] < probs[i]

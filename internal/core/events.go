@@ -16,8 +16,9 @@ import (
 // publisher. A stalled subscriber therefore cannot change the
 // simulation's behaviour — only its own view of it.
 //
-// Fields tagged json:"-" are span detail for the flight recorder; the
-// bus carries them in memory, but they never reach an SSE payload.
+// Fields tagged json:"-" are detail for the flight recorder and the
+// triggers; the bus carries them in memory, but they never reach an
+// SSE payload.
 
 // Event is one fact the dispatcher reports: MDEvent, ExchangeEvent,
 // FaultEvent, ResourceEvent, RespaceEvent or CheckpointEvent. All but
@@ -51,8 +52,9 @@ type MDEvent struct {
 	Retries  int     `json:"-"`
 }
 
-// Latency is the segment's completion latency: first submission to the
-// report, every relaunch retry and queueing delay included.
+// Latency is At − Start. The asynchronous family reports each segment
+// as it completes, so there it is the segment's completion latency,
+// every relaunch retry and queueing delay included.
 func (e MDEvent) Latency() float64 { return e.At - e.Start }
 
 // When returns the publication time.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/md"
 	"repro/internal/task"
-	"repro/internal/trace"
 )
 
 // Simulation is a configured REMD run: the EMM of the paper's module
@@ -67,8 +66,6 @@ type Simulation struct {
 	// busBatch accumulates a collection round's bus events for one
 	// batched Bus.PublishBatch call per dispatcher wakeup.
 	busBatch []Event
-	// tracer is the optional flight recorder (Spec.Tracer).
-	tracer *trace.Recorder
 
 	// respaceMu guards the fields a live ladder re-fit rewrites against
 	// concurrent status readers: spec.Dims values, slotParams, the refit
@@ -116,7 +113,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 		replicaAt:  make([]int, n),
 		slotParams: make([]md.Params, n),
 		rng:        rand.New(rand.NewSource(spec.Seed)),
-		tracer:     spec.Tracer,
 	}
 	for slot := 0; slot < n; slot++ {
 		s.slotParams[slot] = s.paramsForSlot(slot)
@@ -257,12 +253,6 @@ func (s *Simulation) drainResourceEvents() {
 // coordAlong returns slot's window index along dimension d.
 func (s *Simulation) coordAlong(slot, d int) int {
 	return slot / s.dimStride[d] % len(s.spec.Dims[d].Values)
-}
-
-// wantsPairOutcomes reports whether anyone consumes per-pair exchange
-// outcomes: the event bus or an observing trigger.
-func (s *Simulation) wantsPairOutcomes() bool {
-	return s.spec.Bus != nil || s.obs != nil
 }
 
 // finishExchange books one fired exchange event — its record, its slot

@@ -27,8 +27,8 @@ func (s *Simulation) emit(ev Event) {
 	if s.obs != nil {
 		s.obs.Observe(ev)
 	}
-	if s.tracer != nil {
-		s.spans(ev)
+	if rec := s.spec.Tracer; rec != nil {
+		s.spans(rec, ev)
 	}
 	switch e := ev.(type) {
 	case FaultEvent:
@@ -57,7 +57,7 @@ func (s *Simulation) emit(ev Event) {
 // test it before building the event, so a run without observers boxes
 // nothing there.
 func (s *Simulation) reporting() bool {
-	return s.obs != nil || s.tracer != nil || s.spec.Bus != nil
+	return s.obs != nil || s.spec.Tracer != nil || s.spec.Bus != nil
 }
 
 // flushBus delivers the queued event batch to the bus, taking each
@@ -80,7 +80,7 @@ func (s *Simulation) flushBus() {
 // spans plus the feedback controller's decision after it, and one
 // instant per fault action, pilot lifecycle change, ladder re-fit and
 // checkpoint.
-func (s *Simulation) spans(ev Event) {
+func (s *Simulation) spans(rec *trace.Recorder, ev Event) {
 	switch e := ev.(type) {
 	case MDEvent:
 		sp := trace.Span{Kind: trace.KindMD, Start: e.Start, Dur: e.Finished - e.Start,
@@ -89,20 +89,20 @@ func (s *Simulation) spans(ev Event) {
 			// A dropped replica's Cycle stays at the failed segment.
 			sp.Event, sp.Label = e.Cycle, "failed"
 		}
-		s.tracer.Record(sp)
+		rec.Record(sp)
 	case ExchangeEvent:
 		ph := e.Phase
 		if ph.SPETasks > 0 {
-			s.tracer.Record(trace.Span{Kind: trace.KindSPE, Start: ph.SPEStart,
+			rec.Record(trace.Span{Kind: trace.KindSPE, Start: ph.SPEStart,
 				Dur: ph.SPEEnd - ph.SPEStart, Dim: e.Dim, Event: e.Cycle, Pairs: ph.SPETasks})
 		}
 		if ph.Swept {
-			s.tracer.Record(trace.Span{Kind: trace.KindPairs, Start: ph.SweepStart,
+			rec.Record(trace.Span{Kind: trace.KindPairs, Start: ph.SweepStart,
 				Dur: e.At - ph.SweepStart, Dim: e.Dim, Event: e.Cycle,
 				Pairs: ph.Attempted, Accepted: ph.Accepted})
 		}
 		if ph.Ran {
-			s.tracer.Record(trace.Span{Kind: trace.KindExchange, Start: ph.Start,
+			rec.Record(trace.Span{Kind: trace.KindExchange, Start: ph.Start,
 				Dur: e.At - ph.Start, Dim: e.Dim, Event: e.Event,
 				Pairs: ph.Attempted, Accepted: ph.Accepted})
 		}
@@ -116,24 +116,24 @@ func (s *Simulation) spans(ev Event) {
 			if st.Saturated {
 				sp.Label = "saturated"
 			}
-			s.tracer.Record(sp)
+			rec.Record(sp)
 		}
 	case FaultEvent:
-		s.tracer.Record(trace.Span{Kind: trace.KindFault, Start: e.At,
+		rec.Record(trace.Span{Kind: trace.KindFault, Start: e.At,
 			Replica: e.Replica, Retries: e.Retries, Label: e.Kind})
 	case ResourceEvent:
-		s.tracer.Record(trace.Span{Kind: trace.KindResource, Start: e.At,
+		rec.Record(trace.Span{Kind: trace.KindResource, Start: e.At,
 			Pilot: e.Pilot, Pairs: e.Cores, Label: e.Kind})
 	case RespaceEvent:
 		// On the dimension's controller track; Retries carries the
 		// refit ordinal.
-		s.tracer.Record(trace.Span{Kind: trace.KindRespace, Start: e.At,
+		rec.Record(trace.Span{Kind: trace.KindRespace, Start: e.At,
 			Dim: e.Dim, Event: e.Event, Retries: e.Refit})
 	case CheckpointEvent:
 		sp := trace.Span{Kind: trace.KindCheckpoint, Start: e.At, Event: e.Event}
 		if e.Cancel {
 			sp.Label = "cancel"
 		}
-		s.tracer.Record(sp)
+		rec.Record(sp)
 	}
 }

@@ -153,6 +153,7 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 	run.ID = id
 	run.log = g.log.With("run", id)
 	run.srv.SetRunLabel(id)
+	run.release = func() { g.pool.Release(run.cores) }
 	g.runs[id] = run
 	g.order = append(g.order, run)
 	g.wg.Add(1)
@@ -163,7 +164,6 @@ func (g *Registry) Launch(l *config.Launch) (*Run, error) {
 		"replicas", run.spec.Replicas(), "cores", run.cores)
 	go func() {
 		defer g.wg.Done()
-		defer g.pool.Release(run.cores)
 		if _, err := run.Execute(context.Background()); err != nil && !errors.Is(err, core.ErrRunCancelled) {
 			g.log.Error("run failed", "run", id, "error", err)
 		} else {
@@ -367,7 +367,7 @@ func (g *Registry) handleAggregateMetrics(w http.ResponseWriter, _ *http.Request
 	views := make([]runView, 0, len(runs))
 	for _, r := range runs {
 		counts[r.State()]++
-		views = append(views, r.view())
+		views = append(views, r.srv.view())
 	}
 	for st := core.RunPending; st <= core.RunCancelled; st++ {
 		fmt.Fprintf(&b, "repexd_runs{state=%q} %d\n", st.String(), counts[st])

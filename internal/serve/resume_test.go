@@ -60,7 +60,7 @@ func TestRegistryRejectsRunawayResume(t *testing.T) {
 	if got := run.State(); got != core.RunFailed {
 		t.Fatalf("runaway resume reached %v, want failed", got)
 	}
-	// The pool is released by the run goroutine right after Done closes.
+	// Execute returns the run's pool cores before Done closes.
 	deadline := time.Now().Add(10 * time.Second)
 	for reg.Pool().Used() != 0 {
 		if time.Now().After(deadline) {

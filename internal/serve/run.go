@@ -40,6 +40,10 @@ type Run struct {
 	// done closes when Execute has finished and report/err carry the
 	// outcome.
 	done chan struct{}
+	// release, when set, returns the run's core-pool reservation.
+	// Execute calls it before the run turns terminal, so a run that
+	// reads as finished never still holds pool cores.
+	release func()
 
 	mu     sync.Mutex
 	state  core.RunState
@@ -186,6 +190,9 @@ func (r *Run) Execute(ctx context.Context) (*core.Report, error) {
 	stop := context.AfterFunc(ctx, r.cancel)
 	defer stop()
 	report, err := runner.Run(r.params)
+	if r.release != nil {
+		r.release()
+	}
 	r.mu.Lock()
 	r.report, r.err = report, err
 	switch {
@@ -285,14 +292,4 @@ func (r *Run) baseStatus() RunStatus {
 
 // Status merges the base status with the collector's counters, the
 // same view /runs/{id}/status serves.
-func (r *Run) Status() RunStatus {
-	stats := r.srv.snapshot(false)
-	return r.srv.runStatusFrom(&stats)
-}
-
-// view renders the run as one contribution to an aggregate metrics
-// exposition.
-func (r *Run) view() runView {
-	stats := r.srv.snapshot(false)
-	return runView{run: r.ID, stats: stats, st: r.srv.runStatusFrom(&stats)}
-}
+func (r *Run) Status() RunStatus { return r.srv.view().st }

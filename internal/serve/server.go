@@ -206,13 +206,16 @@ func (s *Server) snapshot(withTraces bool) analysis.Stats {
 	return s.col.SnapshotLite()
 }
 
-// runStatusFrom merges the caller's status view with the counters of an
-// already-taken collector snapshot, so one request observes one instant.
-func (s *Server) runStatusFrom(stats *analysis.Stats) RunStatus {
+// view merges the caller's status with the counters of one collector
+// snapshot, so one request observes one instant. The status is read
+// first: a run that reads as terminal has published every event, so the
+// snapshot taken after it is complete.
+func (s *Server) view() runView {
 	var st RunStatus
 	if s.status != nil {
 		st = s.status()
 	}
+	stats := s.snapshot(false)
 	if st.Faults == nil {
 		st.Faults = map[string]uint64{}
 	}
@@ -229,12 +232,11 @@ func (s *Server) runStatusFrom(stats *analysis.Stats) RunStatus {
 		st.TraceSpans = s.tracer.Recorded()
 		st.TraceDropped = s.tracer.Dropped()
 	}
-	return st
+	return runView{run: s.runLabel, stats: stats, st: st}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	stats := s.snapshot(false)
-	writeJSON(w, s.runStatusFrom(&stats))
+	writeJSON(w, s.view().st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -256,8 +258,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is the liveness probe: always 200 once the server
 // answers, with a minimal state summary for probes that read bodies.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	stats := s.snapshot(false)
-	st := s.runStatusFrom(&stats)
+	st := s.view().st
 	writeJSON(w, map[string]any{
 		"ok":              true,
 		"state":           st.State,
@@ -274,9 +275,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	stats := s.snapshot(false)
-	st := s.runStatusFrom(&stats)
-	writeMetrics(&b, []runView{{run: s.runLabel, stats: stats, st: st}})
+	writeMetrics(&b, []runView{s.view()})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
 }
