@@ -53,7 +53,7 @@ func run(sp *core.Spec, walltime float64) (*core.Report, []*core.Snapshot, int) 
 	env := sim.NewEnv()
 	cl := cluster.MustNew(env, cfg, sp.Seed+1)
 	eng := engines.NewAmberVirtual(2881, sp.Seed+2)
-	var rt *pilot.Runtime
+	var rt *pilot.MultiRuntime
 	var report *core.Report
 	var runErr error
 	env.Go("emm", func(p *sim.Proc) {

@@ -254,14 +254,18 @@ func TestAsyncMDWallAccounted(t *testing.T) {
 // walltime-bounded pilot expires mid-run, its executing segments fail
 // with a resource-loss error, the dispatcher resubmits them (without
 // charging replica retry budgets) and the failover runtime provisions a
-// fresh pilot. The run completes with no replica lost.
+// fresh pilot. The run completes with no replica lost, and every
+// relaunch stays on routing slot 0: bus events label the slot, not the
+// failover generation.
 func TestPilotWalltimeFailover(t *testing.T) {
 	spec := smallTREMD(8, 3)
 	spec.FaultPolicy = core.FaultRelaunch
+	spec.Bus = core.NewBus()
+	sub := spec.Bus.Subscribe(1 << 12)
 	env := sim.NewEnv()
 	cl := cluster.MustNew(env, quietCluster(), spec.Seed+1)
 	eng := engines.NewAmberVirtual(2881, spec.Seed+2)
-	var rt *pilot.Runtime
+	var rt *pilot.MultiRuntime
 	var report *core.Report
 	var runErr error
 	env.Go("emm", func(p *sim.Proc) {
@@ -299,5 +303,28 @@ func TestPilotWalltimeFailover(t *testing.T) {
 	// Each failover pays the batch queue again.
 	if report.Makespan() < 3*139 {
 		t.Fatalf("makespan %v too short for three segments", report.Makespan())
+	}
+	launches, mdEvents := 0, 0
+	for _, ev := range sub.Drain(nil) {
+		switch e := ev.(type) {
+		case core.ResourceEvent:
+			if e.Kind == task.ResourceLaunch {
+				launches++
+			}
+			if e.Pilot != 0 {
+				t.Errorf("%s resource event at t=%v labelled pilot %d, want slot 0", e.Kind, e.At, e.Pilot)
+			}
+		case core.MDEvent:
+			mdEvents++
+			if e.Pilot != 0 {
+				t.Errorf("MD event of replica %d at t=%v labelled pilot %d, want slot 0", e.Replica, e.At, e.Pilot)
+			}
+		}
+	}
+	if launches < 2 {
+		t.Fatalf("%d launch events on the bus, want the initial pilot and at least one relaunch", launches)
+	}
+	if mdEvents == 0 {
+		t.Fatal("no MD events on the bus")
 	}
 }

@@ -265,6 +265,9 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 			}
 		}
 	}
+	// A replica cannot have completed more segments than the spec's
+	// largest budget (one per cycle and dimension).
+	maxCycle := s.spec.Cycles * len(s.spec.Dims)
 	seenSlot := make([]bool, len(s.replicas))
 	seenID := make([]bool, len(s.replicas))
 	for _, rs := range sn.Replicas {
@@ -276,7 +279,20 @@ func (s *Simulation) applySnapshot(sn *Snapshot) error {
 			return fmt.Errorf("core: snapshot slots are not a permutation (slot %d)", rs.Slot)
 		}
 		seenSlot[rs.Slot] = true
+		if rs.Cycle < 0 || rs.Cycle > maxCycle {
+			return fmt.Errorf("core: snapshot replica %d cycle %d outside [0, %d]", rs.ID, rs.Cycle, maxCycle)
+		}
+		if rs.Retries < 0 {
+			return fmt.Errorf("core: snapshot replica %d retries %d is negative", rs.ID, rs.Retries)
+		}
 		r := s.replicas[rs.ID]
+		// The engine indexes the pseudo-coordinates it built in
+		// InitReplica; a different length would crash it mid-run. An
+		// engine that builds none does not read them.
+		if len(rs.Synth) > 0 && len(r.Synth) > 0 && len(rs.Synth) != len(r.Synth) {
+			return fmt.Errorf("core: snapshot replica %d has %d pseudo-coordinates, the engine keeps %d",
+				rs.ID, len(rs.Synth), len(r.Synth))
+		}
 		r.Slot = rs.Slot
 		r.Cycle = rs.Cycle
 		r.Energy = rs.Energy

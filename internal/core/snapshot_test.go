@@ -196,8 +196,10 @@ func TestResumeValidation(t *testing.T) {
 
 // TestResumeRejectsImpossibleSnapshots: RNG positions are restored by
 // replaying draws, so a corrupt count must be refused up front rather
-// than spin the replay loop — and a refitted grid must still be a sane
-// ladder inside the spec's envelope.
+// than spin the replay loop — a refitted grid must still be a sane
+// ladder inside the spec's envelope, and per-replica state must fit the
+// spec and the engine (a pseudo-coordinate slice of the wrong length
+// would crash the virtual engine mid-run).
 func TestResumeRejectsImpossibleSnapshots(t *testing.T) {
 	var snaps []*core.Snapshot
 	spec := smallTREMD(6, 2)
@@ -205,6 +207,7 @@ func TestResumeRejectsImpossibleSnapshots(t *testing.T) {
 	spec.OnSnapshot = func(sn *core.Snapshot) { snaps = append(snaps, sn) }
 	runVirtual(t, spec, quietCluster(), 6, 2881)
 	data := mustEncode(t, snaps[0])
+	budget := spec.Cycles * len(spec.Dims)
 
 	undecodable := map[string]func(*core.Snapshot){
 		"rng_draws -1":    func(sn *core.Snapshot) { sn.RNGDraws = -1 },
@@ -249,6 +252,11 @@ func TestResumeRejectsImpossibleSnapshots(t *testing.T) {
 		"non-monotone grid":      func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 300, 290, 330, 350, 373}} },
 		"grid outside envelope":  func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, 310, 330, 350, 400}} },
 		"grid with a NaN window": func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, math.NaN(), 330, 350, 373}} },
+		"short synth":            func(sn *core.Snapshot) { sn.Replicas[5].Synth = sn.Replicas[5].Synth[:1] },
+		"long synth":             func(sn *core.Snapshot) { sn.Replicas[5].Synth = append(sn.Replicas[5].Synth, 0.5) },
+		"negative cycle":         func(sn *core.Snapshot) { sn.Replicas[5].Cycle = -1 },
+		"cycle past budget":      func(sn *core.Snapshot) { sn.Replicas[5].Cycle = budget + 1 },
+		"negative retries":       func(sn *core.Snapshot) { sn.Replicas[5].Retries = -1 },
 	}
 	for name, edit := range rejects {
 		if err := resume(edit); err == nil {
@@ -259,7 +267,8 @@ func TestResumeRejectsImpossibleSnapshots(t *testing.T) {
 		"spec grid": func(sn *core.Snapshot) {
 			sn.DimValues = [][]float64{append([]float64(nil), spec.Dims[0].Values...)}
 		},
-		"sane refit": func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, 310, 330, 350, 373}} },
+		"sane refit":      func(sn *core.Snapshot) { sn.DimValues = [][]float64{{273, 290, 310, 330, 350, 373}} },
+		"cycle at budget": func(sn *core.Snapshot) { sn.Replicas[5].Cycle = budget },
 	}
 	for name, edit := range accepts {
 		if err := resume(edit); err != nil {

@@ -12,9 +12,9 @@ import (
 type ChaosEvent struct {
 	// At is the virtual time the fault fires, in seconds from run start.
 	At float64
-	// Pilot is the routing slot the fault targets (always 0 under a
-	// single-pilot runtime). The fault applies to whichever pilot
-	// occupies the slot at fire time — after a failover relaunch, the
+	// Pilot is the routing slot the fault targets (only 0 exists under
+	// a single pilot). The fault applies to whichever pilot occupies
+	// the slot at fire time — after a failover relaunch, the
 	// replacement.
 	Pilot int
 	// Kind is "node-loss", "preempt" or "resize".

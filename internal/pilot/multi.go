@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -17,10 +18,15 @@ const DefaultLoadDecayTau = 300.0
 // are already on that machine's filesystem).
 const DefaultAffinityBonus = 0.05
 
-// MultiRuntime schedules one REMD workload across several pilots on
-// (possibly different) machines at once — the paper's final named
-// extension ("RepEx can be extended to use multiple HPC resources
-// simultaneously for a single REMD simulation", §5).
+// MultiRuntime adapts pilots to the task.Runtime interface. It
+// schedules one REMD workload across one or more pilots on (possibly
+// different) machines at once — the paper's final named extension
+// ("RepEx can be extended to use multiple HPC resources simultaneously
+// for a single REMD simulation", §5). A single pilot is a one-slot
+// MultiRuntime. All pilots must live in the same simulation
+// environment, and all methods must be called from the bound
+// orchestrator process, mirroring RepEx's single-threaded
+// execution-management module.
 //
 // Routing is weighted least-loaded over two signals: the core-width
 // currently in flight on each pilot, plus an exponentially decaying
@@ -28,13 +34,14 @@ const DefaultAffinityBonus = 0.05
 // slot, not per pilot incarnation, so a failover relaunch inherits its
 // slot's history instead of looking idle and attracting a thundering
 // herd. A staging-affinity discount prefers the pilot that last ran a
-// replica (its staged inputs are already there). All pilots must live
-// in the same simulation environment and be driven from the same
-// orchestrator process.
+// replica (its staged inputs are already there).
 type MultiRuntime struct {
 	pilots []*Pilot
 	proc   *sim.Proc
-	stream *unitStream
+	// queue holds completed watched units, in virtual-time completion
+	// order, until AwaitNext drains them; arrivals wakes it.
+	queue    []*Unit
+	arrivals *sim.Signal
 	// OverheadTotal accumulates client-side overhead (T_RepEx-over).
 	OverheadTotal float64
 	// Failover, when set, replaces an expired or draining pilot in
@@ -52,7 +59,7 @@ type MultiRuntime struct {
 	// routed counts tasks per pilot slot, for balance inspection.
 	routed []int
 	// inflight tracks core-width submitted but not yet completed per
-	// slot. It is decremented by unit completion callbacks, so pilot
+	// slot. It is decremented as routed units complete, so pilot
 	// failures (whose units all fail, completing them) drain it
 	// naturally — no reset on relaunch.
 	inflight []int
@@ -63,12 +70,22 @@ type MultiRuntime struct {
 	// lastPilot remembers which pilot instance last successfully ran
 	// each replica, for the staging-affinity discount. Instance
 	// pointers, not slots: a relaunched pilot has lost the staged data.
+	// Only written with more than one pilot: with a single candidate
+	// the discount cannot change a routing choice.
 	lastPilot map[int]*Pilot
 	// relaunched counts replacement pilots launched by failover.
 	relaunched int
-	// retired holds replaced pilots until their remaining resource
-	// events (the drain-then-expire of a preempted pilot) are drained.
-	retired []ownedPilot
+	// retired holds replaced pilots, with their slot, until their
+	// remaining resource events (the drain-then-expire of a preempted
+	// pilot) are drained.
+	retired []retiredPilot
+}
+
+// retiredPilot is a pilot failover replaced, kept with its routing slot
+// until its last resource events are drained.
+type retiredPilot struct {
+	pl   *Pilot
+	slot int
 }
 
 // NewMultiRuntime binds pilots to an orchestrator process. At least one
@@ -82,20 +99,41 @@ func NewMultiRuntime(proc *sim.Proc, pilots ...*Pilot) (*MultiRuntime, error) {
 			return nil, fmt.Errorf("pilot: pilot %d lives in a different simulation environment", i)
 		}
 	}
+	return newMultiRuntime(proc, pilots), nil
+}
+
+// NewRuntime binds a single pilot to an orchestrator process: a
+// one-slot MultiRuntime without failover.
+func NewRuntime(pl *Pilot, proc *sim.Proc) *MultiRuntime {
+	return newMultiRuntime(proc, []*Pilot{pl})
+}
+
+// NewFailoverRuntime launches a pilot from desc on cl and binds it to
+// proc as a one-slot MultiRuntime with Failover set: when the pilot
+// expires or drains, the next submission launches a replacement with
+// the same description.
+func NewFailoverRuntime(cl *cluster.Cluster, desc Description, proc *sim.Proc) (*MultiRuntime, error) {
+	pl, err := Launch(cl, desc)
+	if err != nil {
+		return nil, err
+	}
+	m := NewRuntime(pl, proc)
+	m.Failover = true
+	return m, nil
+}
+
+func newMultiRuntime(proc *sim.Proc, pilots []*Pilot) *MultiRuntime {
 	return &MultiRuntime{
 		pilots:    pilots,
 		proc:      proc,
-		stream:    newUnitStream(proc),
+		arrivals:  sim.NewSignal(proc.Env()),
 		routed:    make([]int, len(pilots)),
 		inflight:  make([]int, len(pilots)),
 		recent:    make([]float64, len(pilots)),
 		recentAt:  make([]float64, len(pilots)),
 		lastPilot: make(map[int]*Pilot),
-	}, nil
+	}
 }
-
-// Pilots returns the managed pilots.
-func (m *MultiRuntime) Pilots() []*Pilot { return m.pilots }
 
 // PilotAt returns the pilot currently occupying routing slot i (the
 // chaos driver's lookup: after a failover relaunch the slot holds the
@@ -171,7 +209,13 @@ func (m *MultiRuntime) RecentLoad(i int) float64 { return m.decayedRecent(i) }
 // live candidate remains the task is submitted to the least-loaded dead
 // one and fails fast, which the scheduler's resubmission cap converts
 // into replica drops.
-func (m *MultiRuntime) Submit(s *task.Spec) task.Handle {
+func (m *MultiRuntime) Submit(s *task.Spec) task.Handle { return m.submit(s, false) }
+
+// SubmitWatched routes the task like Submit and registers it on the
+// completion stream for delivery by AwaitNext.
+func (m *MultiRuntime) SubmitWatched(s *task.Spec) task.Handle { return m.submit(s, true) }
+
+func (m *MultiRuntime) submit(s *task.Spec, watched bool) *Unit {
 	best, bestLoad := -1, 0.0
 	bestAny, bestAnyLoad := -1, 0.0 // fallback incl. expired pilots
 	bonus := m.affinityBonus()
@@ -179,7 +223,7 @@ func (m *MultiRuntime) Submit(s *task.Spec) task.Handle {
 		pl := m.pilots[i]
 		if m.Failover && (pl.Expired() || pl.Draining()) && s.Cores <= pl.desc.Cores {
 			if npl, err := Launch(pl.cl, pl.desc); err == nil {
-				m.retired = append(m.retired, ownedPilot{pl: pl, label: i})
+				m.retired = append(m.retired, retiredPilot{pl: pl, slot: i})
 				m.pilots[i] = npl
 				m.relaunched++
 				pl = npl
@@ -214,26 +258,35 @@ func (m *MultiRuntime) Submit(s *task.Spec) task.Handle {
 	if best < 0 {
 		panic(fmt.Sprintf("pilot: task %q (%d cores) fits no pilot", s.Name, s.Cores))
 	}
-	slot := best
-	pl := m.pilots[slot]
-	m.routed[slot]++
-	m.inflight[slot] += s.Cores
-	u := pl.SubmitUnit(s)
-	// Stamp the routing decision for the flight recorder (race-free:
-	// the unit's process starts only after the orchestrator yields).
-	u.res.Pilot = slot
-	// Completion callback: settle the in-flight width, feed the decayed
-	// completed-work estimate, and remember the replica's last home for
-	// staging affinity (successful runs only — a killed unit left no
-	// usable outputs behind). unitStream.watch composes around it.
-	u.onDone = func(u *Unit) {
-		m.inflight[slot] -= s.Cores
-		if u.res.Err == nil {
-			m.recent[slot] = m.decayedRecent(slot) + float64(s.Cores)
-			m.lastPilot[s.ReplicaID] = pl
+	m.routed[best]++
+	m.inflight[best] += s.Cores
+	u := m.pilots[best].SubmitUnit(s)
+	// Stamp the routing slot and the completion hook (race-free: the
+	// unit's process starts only after the orchestrator yields).
+	u.res.Pilot = best
+	u.rt = m
+	u.watched = watched
+	return u
+}
+
+// complete is called by a routed unit's lifecycle process once the unit
+// reaches DONE or FAILED: it settles the slot's in-flight width, feeds
+// the decayed completed-work estimate, remembers the replica's last
+// home for staging affinity (successful runs only — a killed unit left
+// no usable outputs behind) and queues watched units for AwaitNext.
+func (m *MultiRuntime) complete(u *Unit) {
+	slot, cores := u.res.Pilot, u.spec.Cores
+	m.inflight[slot] -= cores
+	if u.res.Err == nil {
+		m.recent[slot] = m.decayedRecent(slot) + float64(cores)
+		if len(m.pilots) > 1 {
+			m.lastPilot[u.spec.ReplicaID] = u.pl
 		}
 	}
-	return u
+	if u.watched {
+		m.queue = append(m.queue, u)
+		m.arrivals.Broadcast()
+	}
 }
 
 // Relaunched reports how many replacement pilots failover has launched.
@@ -242,18 +295,39 @@ func (m *MultiRuntime) Relaunched() int { return m.relaunched }
 // DrainResourceEvents returns and clears buffered pilot lifecycle
 // events across current and retired pilots, stamped with their routing
 // slot and merged into occurrence order (task.ResourceReporter).
+// Fully drained retired pilots are dropped, so a long run cannot
+// accumulate dead pilots.
 func (m *MultiRuntime) DrainResourceEvents() []task.ResourceEvent {
-	ev, kept := drainOwned(m.retired)
+	var ev []task.ResourceEvent
+	kept := m.retired[:0]
+	for _, r := range m.retired {
+		ev = appendEvents(ev, r.pl, r.slot)
+		if !r.pl.Expired() {
+			kept = append(kept, r)
+		}
+	}
 	m.retired = kept
 	for i, pl := range m.pilots {
-		pe := pl.TakeEvents()
-		for j := range pe {
-			pe[j].Pilot = i
-		}
-		ev = append(ev, pe...)
+		ev = appendEvents(ev, pl, i)
 	}
-	sortResourceEvents(ev)
+	// Stable insertion sort by time: the per-drain batches are tiny and
+	// already near-sorted.
+	for i := 1; i < len(ev); i++ {
+		for j := i; j > 0 && ev[j].At < ev[j-1].At; j-- {
+			ev[j], ev[j-1] = ev[j-1], ev[j]
+		}
+	}
 	return ev
+}
+
+// appendEvents appends pl's buffered resource events to ev, stamped
+// with its routing slot.
+func appendEvents(ev []task.ResourceEvent, pl *Pilot, slot int) []task.ResourceEvent {
+	pe := pl.TakeEvents()
+	for i := range pe {
+		pe[i].Pilot = slot
+	}
+	return append(ev, pe...)
 }
 
 // Await blocks the orchestrator until the unit finishes.
@@ -272,18 +346,27 @@ func (m *MultiRuntime) AwaitAll(hs []task.Handle) []task.Result {
 	return res
 }
 
-// SubmitWatched routes the task like Submit and registers it on the
-// completion stream for delivery by AwaitNext.
-func (m *MultiRuntime) SubmitWatched(s *task.Spec) task.Handle {
-	u := m.Submit(s).(*Unit)
-	m.stream.watch(u)
-	return u
-}
-
 // AwaitNext blocks until a watched unit completion is pending delivery
-// or the deadline passes, draining the stream in completion order.
+// or the absolute deadline passes, draining the stream in completion
+// order.
 func (m *MultiRuntime) AwaitNext(deadline float64) []task.Handle {
-	return m.stream.awaitNext(deadline)
+	for len(m.queue) == 0 {
+		if math.IsInf(deadline, 1) {
+			m.arrivals.Wait(m.proc)
+			continue
+		}
+		remain := deadline - m.proc.Now()
+		if remain <= 0 {
+			return nil
+		}
+		m.arrivals.WaitTimeout(m.proc, remain)
+	}
+	out := make([]task.Handle, len(m.queue))
+	for i, u := range m.queue {
+		out[i] = u
+	}
+	m.queue = m.queue[:0]
+	return out
 }
 
 // Overhead charges client-side overhead to the virtual clock.
@@ -300,15 +383,6 @@ func (m *MultiRuntime) SleepUntil(t float64) {
 	if d := t - m.proc.Now(); d > 0 {
 		m.proc.Sleep(d)
 	}
-}
-
-// BusyCoreSeconds sums the pilots' busy core-seconds.
-func (m *MultiRuntime) BusyCoreSeconds() float64 {
-	s := 0.0
-	for _, pl := range m.pilots {
-		s += pl.BusyCoreSeconds()
-	}
-	return s
 }
 
 var (

@@ -94,7 +94,7 @@ func TestSubmitAfterExpiryFailsFast(t *testing.T) {
 func TestFailoverRuntimeRelaunchesPilot(t *testing.T) {
 	e := sim.NewEnv()
 	cl := cluster.MustNew(e, quietConfig(), 1) // QueueWait 10
-	var rt *Runtime
+	var rt *MultiRuntime
 	var interrupted, redone task.Result
 	e.Go("orchestrator", func(p *sim.Proc) {
 		var err error

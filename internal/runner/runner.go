@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pilot"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // Params describes one simulation execution on the virtual cluster.
@@ -30,13 +29,13 @@ type Params struct {
 	// Pilots splits PilotCores across this many concurrent pilots routed
 	// through one MultiRuntime with failover (the multi-pilot execution
 	// the paper's flexible resource mapping describes). Zero or one
-	// keeps the single failover pilot.
+	// runs a single failover pilot: a one-slot MultiRuntime.
 	Pilots int
 	// Chaos, when non-empty, scripts resource faults (node loss,
 	// preemption, resize) against the run's pilots at fixed virtual
 	// times; see pilot.ChaosPlan. The plan's slot indices address the
-	// MultiRuntime routing slots (always 0 for a single pilot), hitting
-	// whichever pilot occupies the slot at fire time.
+	// MultiRuntime routing slots (only slot 0 for a single pilot),
+	// hitting whichever pilot occupies the slot at fire time.
 	Chaos *pilot.ChaosPlan
 	// NewEngine constructs the engine adapter (called once).
 	NewEngine func(seed int64) core.Engine
@@ -74,7 +73,7 @@ func Run(p Params) (*core.Report, error) {
 				runErr = err
 				return
 			}
-			p.Chaos.Drive(env, chaosLookup(rt))
+			p.Chaos.Drive(env, rt.PilotAt)
 		}
 		simu, err := core.New(p.Spec, eng, rt)
 		if err != nil {
@@ -96,19 +95,16 @@ func Run(p Params) (*core.Report, error) {
 	return report, nil
 }
 
-// newRuntime builds the run's task runtime: one failover pilot, or —
-// when Pilots > 1 — PilotCores split across that many pilots behind a
-// failover MultiRuntime (uneven splits give the first pilots one core
-// more).
-func newRuntime(cl *cluster.Cluster, p Params, proc *sim.Proc) (task.Runtime, error) {
-	if p.Pilots <= 1 {
-		return pilot.NewFailoverRuntime(cl, pilot.Description{Cores: p.PilotCores, Walltime: p.PilotWalltime}, proc)
-	}
-	per, extra := p.PilotCores/p.Pilots, p.PilotCores%p.Pilots
+// newRuntime builds the run's task runtime: PilotCores split across
+// max(1, Pilots) pilots behind one failover MultiRuntime (uneven splits
+// give the first pilots one core more).
+func newRuntime(cl *cluster.Cluster, p Params, proc *sim.Proc) (*pilot.MultiRuntime, error) {
+	n := max(1, p.Pilots)
+	per, extra := p.PilotCores/n, p.PilotCores%n
 	if per < 1 {
-		return nil, fmt.Errorf("runner: %d cores cannot cover %d pilots", p.PilotCores, p.Pilots)
+		return nil, fmt.Errorf("runner: %d cores cannot cover %d pilots", p.PilotCores, n)
 	}
-	pilots := make([]*pilot.Pilot, p.Pilots)
+	pilots := make([]*pilot.Pilot, n)
 	for i := range pilots {
 		cores := per
 		if i < extra {
@@ -126,24 +122,4 @@ func newRuntime(cl *cluster.Cluster, p Params, proc *sim.Proc) (task.Runtime, er
 	}
 	mr.Failover = true
 	return mr, nil
-}
-
-// chaosLookup adapts a runtime to the chaos driver's slot addressing: a
-// MultiRuntime exposes its routing slots; a single failover runtime
-// maps every slot-0 fault to its current pilot incarnation. Slots
-// beyond the runtime's pilots resolve to nil and the fault is skipped.
-func chaosLookup(rt task.Runtime) func(slot int) *pilot.Pilot {
-	switch r := rt.(type) {
-	case *pilot.MultiRuntime:
-		return r.PilotAt
-	case *pilot.Runtime:
-		return func(slot int) *pilot.Pilot {
-			if slot != 0 {
-				return nil
-			}
-			return r.Pilot()
-		}
-	default:
-		return func(int) *pilot.Pilot { return nil }
-	}
 }

@@ -98,9 +98,8 @@ type Span struct {
 	// Dim is the exchange dimension of MD, exchange and controller
 	// spans.
 	Dim int `json:"dim,omitempty"`
-	// Pilot is the pilot that executed an MD span: the routing index
-	// under a multi-pilot runtime, the failover generation (0 for the
-	// initial pilot) under a single-pilot one.
+	// Pilot is the routing slot of the pilot that executed an MD span
+	// (0 under a single pilot, across any failover relaunches).
 	Pilot int `json:"pilot,omitempty"`
 	// Event is the segment cycle (MD) or exchange-event index.
 	Event int `json:"event,omitempty"`
