@@ -261,6 +261,15 @@ func TestAdaptiveTriggerCompletes(t *testing.T) {
 	if rep.Trigger != "adaptive" {
 		t.Fatalf("trigger %q, want adaptive", rep.Trigger)
 	}
+	// Golden: the adapted windows decide which replicas meet at each
+	// exchange, so the event count and slot history pin the policy's
+	// gain and clamps end to end.
+	if rep.ExchangeEvents != 5 {
+		t.Fatalf("exchange events %d, golden 5", rep.ExchangeEvents)
+	}
+	if fp := historyFingerprint(rep.SlotHistory); fp != 0xa199a783ad3b8914 {
+		t.Fatalf("slot-history fingerprint %#x, golden 0xa199a783ad3b8914", fp)
+	}
 	// Every replica runs its full MD-segment budget; all but a possible
 	// trailing unexchanged accumulation appear in the records.
 	mdTasks := 0
@@ -291,6 +300,33 @@ func TestAdaptiveWindowTracksDispersion(t *testing.T) {
 	huge := observe(core.NewAdaptiveTrigger(100), []float64{1, 4000, 1, 4000, 1})
 	if huge > 400+1e-9 {
 		t.Fatalf("adaptive window %v exceeded the clamp", huge)
+	}
+}
+
+// TestAdaptiveWindowExact pins the adapted window: Initial until two
+// latencies were seen, then mean + 2σ (sample standard deviation)
+// clamped to [Initial/4, Initial*4].
+func TestAdaptiveWindowExact(t *testing.T) {
+	cases := []struct {
+		name string
+		lats []float64
+		want float64
+	}{
+		{"unobserved", nil, 100},
+		{"one sample", []float64{300}, 100},
+		{"mid-range", []float64{60, 140, 80, 120, 100}, 100 + 2*math.Sqrt(1000)},
+		{"pinned low", []float64{10, 10, 10}, 25},
+		{"pinned high", []float64{1, 4000, 1, 4000, 1}, 400},
+	}
+	for _, tc := range cases {
+		tr := core.NewAdaptiveTrigger(100)
+		for _, e := range tc.lats {
+			tr.Observe(core.MDEvent{At: e})
+		}
+		tr.Reset(core.TriggerState{Now: 1000})
+		if got := tr.Deadline(core.TriggerState{}) - 1000; math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: window %.12g, want %.12g", tc.name, got, tc.want)
+		}
 	}
 }
 
