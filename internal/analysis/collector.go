@@ -25,6 +25,7 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -38,22 +39,20 @@ type Config struct {
 	DimSizes []int
 	// Replicas is the total replica count (product of DimSizes).
 	Replicas int
-	// TraceLen bounds the per-replica slot-trace tail kept for
-	// inspection (default 64; snapshots grow with it).
-	TraceLen int
 	// WindowEvents is the rolling-window depth of the per-pair
 	// acceptance statistics: the last WindowEvents outcomes of each
 	// neighbour pair (default DefaultWindowEvents). Cumulative ratios
 	// answer "how did the run go"; windowed ratios answer "how is it
 	// going right now" — the signal a feedback trigger consumes.
 	WindowEvents int
-	// SecondsBounds are the histogram bucket upper bounds for the MD and
-	// exchange overhead histograms (default DefaultSecondsBounds).
-	SecondsBounds []float64
 }
 
 // DefaultWindowEvents is the default rolling-window depth per pair.
 const DefaultWindowEvents = 64
+
+// traceLen bounds the per-replica slot-trace tail kept for inspection
+// (snapshots grow with it).
+const traceLen = 64
 
 // ConfigFromSpec derives the collector configuration from a simulation
 // spec.
@@ -65,9 +64,11 @@ func ConfigFromSpec(spec *core.Spec) Config {
 	return Config{DimSizes: sizes, Replicas: spec.Replicas()}
 }
 
-// DefaultSecondsBounds spans milliseconds (localexec) to hours (virtual
-// supercomputer cycles).
-var DefaultSecondsBounds = []float64{
+// secondsBounds are the bucket upper bounds of the MD and exchange
+// overhead histograms, spanning milliseconds (localexec) to hours
+// (virtual supercomputer cycles). Restore refuses histograms over any
+// other bounds.
+var secondsBounds = []float64{
 	0.001, 0.01, 0.1, 1, 10, 30, 60, 120, 300, 600, 1800, 3600,
 }
 
@@ -184,14 +185,8 @@ type Collector struct {
 // assumed to start in slot i (the simulation's initial assignment);
 // Restore overwrites this for resumed runs.
 func New(cfg Config) *Collector {
-	if cfg.TraceLen <= 0 {
-		cfg.TraceLen = 64
-	}
 	if cfg.WindowEvents <= 0 {
 		cfg.WindowEvents = DefaultWindowEvents
-	}
-	if len(cfg.SecondsBounds) == 0 {
-		cfg.SecondsBounds = DefaultSecondsBounds
 	}
 	c := &Collector{cfg: cfg}
 	c.st = state{
@@ -199,8 +194,8 @@ func New(cfg Config) *Collector {
 		Pairs:       make([][]PairStat, len(cfg.DimSizes)),
 		PairWindows: make([][]ring.Bool, len(cfg.DimSizes)),
 		Walks:       make([]walk, cfg.Replicas),
-		MDExec:      NewHistogram(cfg.SecondsBounds),
-		ExchangeOvh: NewHistogram(cfg.SecondsBounds),
+		MDExec:      NewHistogram(secondsBounds),
+		ExchangeOvh: NewHistogram(secondsBounds),
 	}
 	for d, n := range cfg.DimSizes {
 		if n > 1 {
@@ -241,11 +236,7 @@ func (c *Collector) Attach(bus *core.Bus, buffer int) {
 // periodically.
 func RunBuffer(spec *core.Spec) int {
 	segments := spec.Replicas() * spec.Cycles * (len(spec.Dims) + 1)
-	retries := spec.MaxRetries
-	if retries <= 0 {
-		retries = 3 // core's default
-	}
-	n := segments*(2+retries) + 4096
+	n := segments*(2+core.MaxRetries) + 4096
 	if n > 1<<20 {
 		n = 1 << 20
 	}
@@ -333,9 +324,9 @@ func (c *Collector) applyExchange(e core.ExchangeEvent) {
 		w := &c.st.Walks[id]
 		w.Slot = slot
 		// >= (with trim), not ==: a Restore can hand us a trace longer
-		// than this collector's TraceLen.
-		if len(w.Trace) >= c.cfg.TraceLen {
-			n := copy(w.Trace, w.Trace[len(w.Trace)-c.cfg.TraceLen+1:])
+		// than traceLen.
+		if len(w.Trace) >= traceLen {
+			n := copy(w.Trace, w.Trace[len(w.Trace)-traceLen+1:])
 			w.Trace = w.Trace[:n]
 		}
 		w.Trace = append(w.Trace, slot)
@@ -602,12 +593,29 @@ func (c *Collector) Restore(data []byte) error {
 				i, s, c.cfg.Replicas)
 		}
 	}
+	if err := checkHistogram("md_exec", st.MDExec); err != nil {
+		return err
+	}
+	if err := checkHistogram("exchange_overhead", st.ExchangeOvh); err != nil {
+		return err
+	}
 	if st.Faults == nil {
 		st.Faults = map[string]uint64{}
 	}
 	c.mu.Lock()
 	c.st = st
 	c.mu.Unlock()
+	return nil
+}
+
+// checkHistogram refuses a restored histogram that is not over
+// secondsBounds with one count per bucket: Observe indexes Counts by
+// bucket, so it would panic on the first post-resume event.
+func checkHistogram(name string, h Histogram) error {
+	if !slices.Equal(h.Bounds, secondsBounds) || len(h.Counts) != len(secondsBounds)+1 {
+		return fmt.Errorf("analysis: state %s histogram has %d bounds and %d counts, collector %d and %d",
+			name, len(h.Bounds), len(h.Counts), len(secondsBounds), len(secondsBounds)+1)
+	}
 	return nil
 }
 

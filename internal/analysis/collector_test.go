@@ -327,32 +327,45 @@ func TestRunBufferCoversWholeRun(t *testing.T) {
 	}
 }
 
-// TestRestoreShrinksOversizedTraces: a trace restored from a collector
-// with a larger TraceLen must converge back to this collector's cap
-// instead of growing without bound.
+// TestRestoreShrinksOversizedTraces: a restored trace longer than the
+// collector's cap (64 slots) must converge back to the cap instead of
+// growing without bound.
 func TestRestoreShrinksOversizedTraces(t *testing.T) {
-	big := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3, TraceLen: 8})
-	rows := [][]int{{1, 0, 2}, {2, 0, 1}, {1, 0, 2}, {0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
-	for e, slots := range rows {
-		big.Apply(exEvent(e, slots))
-	}
-	data, err := big.EncodeState()
+	const traceCap, oversized = 64, 80
+	col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
+	data, err := col.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3, TraceLen: 4})
-	if err := small.Restore(data); err != nil {
+	var st map[string]any
+	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	small.Apply(exEvent(6, []int{1, 0, 2}))
-	small.Apply(exEvent(7, []int{0, 1, 2}))
-	for id, tr := range small.Snapshot().Traces {
-		if len(tr) > 4 {
-			t.Fatalf("replica %d trace grew to %d entries past the cap of 4: %v", id, len(tr), tr)
+	for _, w := range st["walks"].([]any) {
+		trace := make([]int, oversized)
+		for i := range trace {
+			trace[i] = i % 3
+		}
+		w.(map[string]any)["trace"] = trace
+	}
+	if data, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(col.Snapshot().Traces[0]); got != oversized {
+		t.Fatalf("restored trace has %d entries, want the hand-built %d", got, oversized)
+	}
+	col.Apply(exEvent(6, []int{1, 0, 2}))
+	col.Apply(exEvent(7, []int{0, 1, 2}))
+	for id, tr := range col.Snapshot().Traces {
+		if len(tr) > traceCap {
+			t.Fatalf("replica %d trace grew to %d entries past the cap of %d", id, len(tr), traceCap)
 		}
 	}
 	// The tail is the most recent slots.
-	if got := small.Snapshot().Traces[0]; got[len(got)-1] != 0 || got[len(got)-2] != 1 {
+	if got := col.Snapshot().Traces[0]; got[len(got)-1] != 0 || got[len(got)-2] != 1 {
 		t.Fatalf("trace tail %v does not end with the latest slots", got)
 	}
 }
@@ -445,5 +458,50 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	}
 	if err := grid34.Restore(shaped); err == nil {
 		t.Fatal("2x6 state restored into a 3x4 collector")
+	}
+}
+
+// TestRestoreRejectsHostileHistograms: histograms come from untrusted
+// checkpoint JSON, and Histogram.Observe indexes Counts by bucket, so a
+// state whose bounds are not the collector's or whose counts do not
+// cover every bucket must be refused instead of panicking on the first
+// post-resume event.
+func TestRestoreRejectsHostileHistograms(t *testing.T) {
+	cases := []struct {
+		name, key, hist string
+	}{
+		{"md_exec counts empty", "md_exec", `{"bounds":[1,2,3],"counts":[]}`},
+		{"exchange_overhead counts empty", "exchange_overhead", `{"bounds":[1,2,3],"counts":[]}`},
+		{"md_exec missing", "md_exec", `{}`},
+		{"md_exec foreign bounds", "md_exec", `{"bounds":[1,2,3],"counts":[0,0,0,0]}`},
+		{"md_exec counts short", "md_exec", `{"bounds":[0.001,0.01,0.1,1,10,30,60,120,300,600,1800,3600],"counts":[0,0,0,0,0,0,0,0,0,0,0,0]}`},
+		{"exchange_overhead counts long", "exchange_overhead", `{"bounds":[0.001,0.01,0.1,1,10,30,60,120,300,600,1800,3600],"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			col := analysis.New(analysis.Config{DimSizes: []int{3}, Replicas: 3})
+			data, err := col.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st map[string]json.RawMessage
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Fatal(err)
+			}
+			st[tc.key] = json.RawMessage(tc.hist)
+			if data, err = json.Marshal(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.Restore(data); err == nil {
+				t.Error("hostile histogram state restored without error")
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("post-restore events panicked: %v", r)
+				}
+			}()
+			col.Apply(core.MDEvent{Replica: 0, Exec: 5})
+			col.Apply(core.ExchangeEvent{Slots: []int{1, 0, 2}, EXWall: 0.5})
+		})
 	}
 }

@@ -188,12 +188,12 @@ func (s *Simulation) dispatch(ctx context.Context, tr Trigger) error {
 		kind, retries := "", 0
 		switch {
 		case errors.Is(res.Err, task.ErrResourceLost):
-			if f.infra >= spec.MaxRetries {
+			if f.infra >= MaxRetries {
 				return false
 			}
 			f.infra++
 			kind, retries = FaultKindResourceLost, f.infra
-		case spec.FaultPolicy == FaultRelaunch && f.r.Retries < spec.MaxRetries:
+		case spec.FaultPolicy == FaultRelaunch && f.r.Retries < MaxRetries:
 			f.r.Retries++
 			f.rel++
 			kind, retries = FaultKindRelaunch, f.r.Retries

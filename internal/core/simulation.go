@@ -99,9 +99,6 @@ func New(spec *Spec, engine Engine, rt task.Runtime) (*Simulation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.MaxRetries == 0 {
-		spec.MaxRetries = 3
-	}
 	grid := spec.Grid()
 	n := grid.Size()
 	s := &Simulation{

@@ -262,12 +262,23 @@ func (t *CountTrigger) Reset(TriggerState) {}
 
 // execStats is a Welford accumulator over completed MD segments'
 // completion latencies (submission to final completion, including
-// relaunch retries): the dispersion estimate behind the adaptive window
-// (AdaptiveTrigger, and FeedbackTrigger's warm-up fallback), fed from
-// each successful MDEvent's Latency.
+// relaunch retries): the one latency estimator behind AdaptiveTrigger's
+// window and FeedbackTrigger's warm-up window, fed from each successful
+// MDEvent's Latency.
 type execStats struct {
 	n        int
 	mean, m2 float64
+}
+
+// newExecStats rebuilds an estimate restored from a checkpoint. The
+// fields come from untrusted JSON: a negative count or squared-deviation
+// sum would make window's standard deviation NaN, and a NaN deadline
+// would poison the virtual clock.
+func newExecStats(n int, mean, m2 float64) (execStats, error) {
+	if n < 0 || !(m2 >= 0) {
+		return execStats{}, fmt.Errorf("latency estimate n=%d m2=%g is invalid", n, m2)
+	}
+	return execStats{n: n, mean: mean, m2: m2}, nil
 }
 
 // add folds one completion latency in.
@@ -278,32 +289,31 @@ func (e *execStats) add(x float64) {
 	e.m2 += d * (x - e.mean)
 }
 
-// window returns mean + gain·stddev clamped to [lo, hi], or initial
-// until two segments were observed.
-func (e *execStats) window(initial, gain, lo, hi float64) float64 {
+// window returns mean + 2·stddev clamped to [initial/spread,
+// initial·spread], or initial until two segments were observed.
+func (e *execStats) window(initial, spread float64) float64 {
 	if e.n < 2 {
 		return initial
 	}
 	sigma := math.Sqrt(e.m2 / float64(e.n-1))
-	return math.Min(math.Max(e.mean+gain*sigma, lo), hi)
+	return math.Min(math.Max(e.mean+2*sigma, initial/spread), initial*spread)
 }
+
+// adaptiveSpread bounds AdaptiveTrigger's window to [Initial/4,
+// Initial·4].
+const adaptiveSpread = 4
 
 // AdaptiveTrigger is a window trigger whose period adapts to the
 // observed MD completion latencies (including relaunch retries): the
-// window is mean + Gain·stddev of the
-// segments seen so far, clamped to [MinWindow, MaxWindow]. Under uniform
-// replica performance the window shrinks towards the mean segment time
-// (fast exchanges, little idling); under heterogeneous or jittery
-// performance it grows so that most replicas make each exchange — the
-// flexible transition criterion the paper argues patterns should expose.
+// window is mean + 2σ of the segments seen so far, clamped to
+// [Initial/4, Initial·4]. Under uniform replica performance the window
+// shrinks towards the mean segment time (fast exchanges, little
+// idling); under heterogeneous or jittery performance it grows so that
+// most replicas make each exchange — the flexible transition criterion
+// the paper argues patterns should expose.
 type AdaptiveTrigger struct {
 	// Initial is the window used until enough segments were observed.
 	Initial float64
-	// Gain is the dispersion multiplier (default 2).
-	Gain float64
-	// MinWindow and MaxWindow clamp the adapted window; they default to
-	// Initial/4 and Initial*4.
-	MinWindow, MaxWindow float64
 	// MinReady, when positive, fires early once that many replicas are
 	// ready (as in WindowTrigger).
 	MinReady int
@@ -323,9 +333,6 @@ func NewAdaptiveTrigger(initial float64) *AdaptiveTrigger {
 func (t *AdaptiveTrigger) Validate() error {
 	if t.Initial <= 0 {
 		return fmt.Errorf("adaptive trigger requires a positive initial window, got %g", t.Initial)
-	}
-	if t.MinWindow < 0 || (t.MaxWindow > 0 && t.MaxWindow < t.MinWindow) {
-		return fmt.Errorf("adaptive trigger window clamp [%g, %g] is invalid", t.MinWindow, t.MaxWindow)
 	}
 	return nil
 }
@@ -352,24 +359,10 @@ func (t *AdaptiveTrigger) Observe(ev Event) {
 	}
 }
 
-// window returns the current adapted window length.
-func (t *AdaptiveTrigger) window() float64 {
-	lo, hi := t.MinWindow, t.MaxWindow
-	if lo <= 0 {
-		lo = t.Initial / 4
-	}
-	if hi <= 0 {
-		hi = t.Initial * 4
-	}
-	gain := t.Gain
-	if gain <= 0 {
-		gain = 2
-	}
-	return t.stats.window(t.Initial, gain, lo, hi)
-}
-
 // Reset opens the next window at the adapted length.
-func (t *AdaptiveTrigger) Reset(st TriggerState) { t.windowEnd = st.Now + t.window() }
+func (t *AdaptiveTrigger) Reset(st TriggerState) {
+	t.windowEnd = st.Now + t.stats.window(t.Initial, adaptiveSpread)
+}
 
 // adaptiveState is the serialized dispersion state of an AdaptiveTrigger.
 type adaptiveState struct {
@@ -392,10 +385,11 @@ func (t *AdaptiveTrigger) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("core: decoding adaptive trigger state: %v", err)
 	}
-	if st.N < 0 || st.M2 < 0 {
-		return fmt.Errorf("core: adaptive trigger state n=%d m2=%g is invalid", st.N, st.M2)
+	stats, err := newExecStats(st.N, st.Mean, st.M2)
+	if err != nil {
+		return fmt.Errorf("core: adaptive trigger state: %v", err)
 	}
-	t.stats = execStats{n: st.N, mean: st.Mean, m2: st.M2}
+	t.stats = stats
 	return nil
 }
 
@@ -405,6 +399,25 @@ func (t *AdaptiveTrigger) RestoreState(data []byte) error {
 // DefaultTargetAcceptance is FeedbackTrigger's default acceptance-ratio
 // set point, in the band REMD practice aims exchange ladders at.
 const DefaultTargetAcceptance = 0.3
+
+// FeedbackTrigger's controller constants.
+const (
+	// feedbackGain is the proportional gain: relative window change per
+	// unit of acceptance error.
+	feedbackGain = 1.5
+	// feedbackIntegralGain is the integral gain: relative window change
+	// per unit of accumulated acceptance error.
+	feedbackIntegralGain = 0.1
+	// feedbackIntegralClamp bounds the accumulated error (anti-windup).
+	feedbackIntegralClamp = 3
+	// feedbackDeadband is the hysteresis half-width: errors within
+	// ±feedbackDeadband of the target leave the window unchanged.
+	feedbackDeadband = 0.02
+	// feedbackSpread bounds the controlled and the warm-up window to
+	// [Initial/8, Initial·8], wider than AdaptiveTrigger's since the
+	// controller is expected to explore.
+	feedbackSpread = 8
+)
 
 // FeedbackTrigger is a window trigger that closes the loop on the
 // quantity REMD is actually judged by: the neighbour-pair acceptance
@@ -419,9 +432,10 @@ const DefaultTargetAcceptance = 0.3
 // dimension's fires, plus a steered MinReady threshold — and the
 // control step is
 //
-//	window *= 1 + Gain·err + IntegralGain·∑err,   err = target − measured
+//	window *= 1 + 1.5·err + 0.1·∑err,   err = target − measured
 //
-// clamped per step and to [MinWindow, MaxWindow]. Measured acceptance
+// with ∑err clamped to ±3, the factor clamped to [0.5, 2] per step and
+// the window to [Initial/8, Initial·8]. Measured acceptance
 // below the target widens the window — more replicas make each
 // exchange, ready subsets stay contiguous and fewer attempts straddle
 // window gaps — while acceptance above it narrows the window so ready
@@ -446,14 +460,14 @@ const DefaultTargetAcceptance = 0.3
 // pair exists. The diagnostic clears as soon as the measurement
 // returns to the deadband or the window comes off its clamp.
 //
-// A Deadband around the target provides hysteresis so measurement
-// noise does not jitter the window, and gap pairs (Hi > Lo+1,
-// bridging dead replicas or ready-subset holes) never enter the
+// A ±0.02 deadband around the target provides hysteresis so
+// measurement noise does not jitter the window, and gap pairs (Hi >
+// Lo+1, bridging dead replicas or ready-subset holes) never enter the
 // measurement, so the controller cannot chase dead-replica artifacts.
 // Until a dimension's ring has filled once, that dimension falls back
-// to AdaptiveTrigger behaviour: the window tracks mean + 2σ of the
-// observed MD execution times, giving the controller a sane operating
-// point to take over from.
+// to AdaptiveTrigger's estimator: the window tracks mean + 2σ of the
+// observed MD completion latencies, clamped to [Initial/8, Initial·8],
+// giving the controller a sane operating point to take over from.
 type FeedbackTrigger struct {
 	// Initial is the window used until enough data accumulates.
 	Initial float64
@@ -469,26 +483,10 @@ type FeedbackTrigger struct {
 	// recent neighbour-pair outcomes each dimension's acceptance is
 	// computed over (default 64).
 	WindowEvents int
-	// Gain is the proportional gain: relative window change per unit of
-	// acceptance error (default 1.5).
-	Gain float64
-	// IntegralGain is the integral gain: relative window change per
-	// unit of accumulated acceptance error (default 0.1).
-	IntegralGain float64
-	// IntegralClamp bounds the accumulated error (anti-windup, default
-	// 3).
-	IntegralClamp float64
 	// SaturationSteps is the number of consecutive clamp-pinned control
 	// steps after which a dimension raises its saturation diagnostic
 	// (default 8).
 	SaturationSteps int
-	// Deadband is the hysteresis half-width: errors within ±Deadband of
-	// the target leave the window unchanged (default 0.02).
-	Deadband float64
-	// MinWindow and MaxWindow clamp the controlled window; they default
-	// to Initial/8 and Initial*8 (wider than AdaptiveTrigger's, since
-	// the controller is expected to explore).
-	MinWindow, MaxWindow float64
 	// MinReady, when positive, fires early once that many replicas are
 	// ready (as in WindowTrigger). It is the base value of the second
 	// actuator: saturated dimensions override it until they recover.
@@ -499,9 +497,9 @@ type FeedbackTrigger struct {
 	// ControllerStatus concurrently.
 	mu sync.Mutex
 
-	// warm is the warm-up dispersion estimate over observed MD
-	// execution times (the AdaptiveTrigger fallback). MD segment times
-	// are not dimension-specific, so it is shared.
+	// warm is the warm-up latency estimate (AdaptiveTrigger's
+	// estimator). MD segment times are not dimension-specific, so it is
+	// shared.
 	warm execStats
 
 	// dims holds one controller per exchange dimension, grown lazily as
@@ -521,7 +519,7 @@ type feedbackDim struct {
 	cur    float64
 	active bool
 	// integ is the accumulated acceptance error (the I term), clamped
-	// to ±IntegralClamp.
+	// to ±feedbackIntegralClamp.
 	integ float64
 	// satRun counts consecutive control steps pinned at a clamp with
 	// the error outside the deadband; saturated raises at
@@ -588,18 +586,8 @@ func (t *FeedbackTrigger) Validate() error {
 	if t.WindowEvents < 0 {
 		return fmt.Errorf("feedback trigger window events must be non-negative, got %d", t.WindowEvents)
 	}
-	if t.Gain < 0 || t.Deadband < 0 {
-		return fmt.Errorf("feedback trigger gain %g and deadband %g must be non-negative", t.Gain, t.Deadband)
-	}
-	if t.IntegralGain < 0 || t.IntegralClamp < 0 {
-		return fmt.Errorf("feedback trigger integral gain %g and clamp %g must be non-negative",
-			t.IntegralGain, t.IntegralClamp)
-	}
 	if t.SaturationSteps < 0 {
 		return fmt.Errorf("feedback trigger saturation steps must be non-negative, got %d", t.SaturationSteps)
-	}
-	if t.MinWindow < 0 || (t.MaxWindow > 0 && t.MaxWindow < t.MinWindow) {
-		return fmt.Errorf("feedback trigger window clamp [%g, %g] is invalid", t.MinWindow, t.MaxWindow)
 	}
 	return nil
 }
@@ -640,7 +628,7 @@ func (d *feedbackDim) effectiveMinReady(base int) int {
 
 // Observe feeds the controller (Observer): a completed MD segment's
 // completion latency — including relaunch retries — goes into the
-// warm-up dispersion estimate (the AdaptiveTrigger fallback), an
+// warm-up latency estimate, an
 // exchange event's outcomes into its dimension's controller.
 func (t *FeedbackTrigger) Observe(ev Event) {
 	switch e := ev.(type) {
@@ -702,18 +690,18 @@ func (t *FeedbackTrigger) observeExchange(ev ExchangeEvent) {
 // evidence.
 func (t *FeedbackTrigger) controlStep(d int, dd *feedbackDim) {
 	err := t.target(d) - float64(dd.win.Accepted)/float64(dd.win.N)
-	if math.Abs(err) <= t.deadband() {
+	if math.Abs(err) <= feedbackDeadband {
 		// On target: stand down the diagnostic and the second actuator.
 		// The integral is kept — it encodes the steady-state correction
 		// that brought the error inside the deadband.
 		dd.satRun, dd.saturated, dd.minReadyOverride = 0, false, -1
 		return
 	}
-	factor := 1 + t.gain()*err + t.integralGain()*dd.integ
+	factor := 1 + feedbackGain*err + feedbackIntegralGain*dd.integ
 	// Bound a single step: one noisy window must not collapse or
 	// explode the operating point.
 	factor = math.Min(math.Max(factor, 0.5), 2)
-	lo, hi := t.clamps()
+	lo, hi := t.Initial/feedbackSpread, t.Initial*feedbackSpread
 	next := math.Min(math.Max(dd.cur*factor, lo), hi)
 	if (next == hi && err > 0) || (next == lo && err < 0) {
 		// Pinned at a clamp with the error still pushing outward: the
@@ -736,8 +724,7 @@ func (t *FeedbackTrigger) controlStep(d int, dd *feedbackDim) {
 			}
 		}
 	} else {
-		c := t.integralClamp()
-		dd.integ = math.Min(math.Max(dd.integ+err, -c), c)
+		dd.integ = math.Min(math.Max(dd.integ+err, -feedbackIntegralClamp), feedbackIntegralClamp)
 		dd.satRun, dd.saturated, dd.minReadyOverride = 0, false, -1
 	}
 	dd.cur = next
@@ -855,39 +842,11 @@ func (t *FeedbackTrigger) target(d int) float64 {
 	return DefaultTargetAcceptance
 }
 
-func (t *FeedbackTrigger) gain() float64 {
-	if t.Gain > 0 {
-		return t.Gain
-	}
-	return 1.5
-}
-
-func (t *FeedbackTrigger) integralGain() float64 {
-	if t.IntegralGain > 0 {
-		return t.IntegralGain
-	}
-	return 0.1
-}
-
-func (t *FeedbackTrigger) integralClamp() float64 {
-	if t.IntegralClamp > 0 {
-		return t.IntegralClamp
-	}
-	return 3
-}
-
 func (t *FeedbackTrigger) saturationSteps() int {
 	if t.SaturationSteps > 0 {
 		return t.SaturationSteps
 	}
 	return 8
-}
-
-func (t *FeedbackTrigger) deadband() float64 {
-	if t.Deadband > 0 {
-		return t.Deadband
-	}
-	return 0.02
 }
 
 func (t *FeedbackTrigger) windowEvents() int {
@@ -897,22 +856,10 @@ func (t *FeedbackTrigger) windowEvents() int {
 	return 64
 }
 
-func (t *FeedbackTrigger) clamps() (lo, hi float64) {
-	lo, hi = t.MinWindow, t.MaxWindow
-	if lo <= 0 {
-		lo = t.Initial / 8
-	}
-	if hi <= 0 {
-		hi = t.Initial * 8
-	}
-	return lo, hi
-}
-
-// warmWindow is the AdaptiveTrigger-style fallback: mean + 2σ of the
-// observed MD execution times, clamped.
+// warmWindow is the warm-up window: AdaptiveTrigger's estimator with
+// the controller's wider clamps.
 func (t *FeedbackTrigger) warmWindow() float64 {
-	lo, hi := t.clamps()
-	return t.warm.window(t.Initial, 2, lo, hi)
+	return t.warm.window(t.Initial, feedbackSpread)
 }
 
 // Reset opens the next window at the upcoming dimension's controlled
@@ -1014,9 +961,13 @@ func (t *FeedbackTrigger) RestoreState(data []byte) error {
 		dd.saturated = ds.Saturated
 		dd.minReadyOverride = ds.MinReadyOverride
 	}
+	warm, err := newExecStats(st.WarmN, st.WarmMean, st.WarmM2)
+	if err != nil {
+		return fmt.Errorf("core: feedback trigger warm-up state: %v", err)
+	}
 	t.mu.Lock()
 	t.dims = dims
-	t.warm = execStats{n: st.WarmN, mean: st.WarmMean, m2: st.WarmM2}
+	t.warm = warm
 	t.mu.Unlock()
 	return nil
 }

@@ -192,6 +192,50 @@ func TestAdaptiveStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWarmupRestoreRejectsImpossibleEstimate: the latency estimate
+// behind the adaptive window and the feedback warm-up comes from
+// untrusted checkpoint JSON. A negative squared-deviation sum or sample
+// count would make the window NaN (a NaN deadline poisons the virtual
+// clock), so both triggers must refuse it and keep their prior state.
+func TestWarmupRestoreRejectsImpossibleEstimate(t *testing.T) {
+	type restorer interface {
+		core.StatefulTrigger
+		core.Observer
+	}
+	cases := []struct {
+		name string
+		mk   func() restorer
+		bad  []string
+	}{
+		{"feedback", func() restorer { return core.NewFeedbackTrigger(100) }, []string{
+			`{"warm_n":5,"warm_mean":100,"warm_m2":-50}`,
+			`{"warm_n":-1,"warm_mean":100,"warm_m2":50}`,
+		}},
+		{"adaptive", func() restorer { return core.NewAdaptiveTrigger(100) }, []string{
+			`{"n":5,"mean":100,"m2":-50}`,
+			`{"n":-1,"mean":100,"m2":50}`,
+		}},
+	}
+	var zero core.TriggerState
+	for _, tc := range cases {
+		for _, bad := range tc.bad {
+			tr := tc.mk()
+			for _, lat := range []float64{90, 110, 130} {
+				tr.Observe(core.MDEvent{At: lat})
+			}
+			tr.Reset(zero)
+			before := tr.Deadline(zero)
+			if err := tr.RestoreState([]byte(bad)); err == nil {
+				t.Errorf("%s: state %s restored without error", tc.name, bad)
+			}
+			tr.Reset(zero)
+			if after := tr.Deadline(zero); after != before {
+				t.Errorf("%s: window %v after rejected restore of %s, want the prior %v", tc.name, after, bad, before)
+			}
+		}
+	}
+}
+
 // TestFeedbackResumeDeterminism is the closed-loop checkpoint
 // acceptance criterion: a feedback-trigger run killed after a snapshot
 // and resumed from it must reproduce the uninterrupted run's slot

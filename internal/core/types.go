@@ -84,9 +84,14 @@ const (
 	// FaultDrop removes the failed replica from the simulation; the
 	// remaining replicas continue (the "continue" behaviour in §1).
 	FaultDrop FaultPolicy = iota
-	// FaultRelaunch resubmits the failed MD task, up to MaxRetries.
+	// FaultRelaunch resubmits the failed MD task, up to MaxRetries
+	// times per replica.
 	FaultRelaunch
 )
+
+// MaxRetries bounds relaunch attempts: per replica under FaultRelaunch,
+// and per MD segment for resource-loss failures under either policy.
+const MaxRetries = 3
 
 // String names the policy.
 func (f FaultPolicy) String() string {
@@ -161,8 +166,6 @@ type Spec struct {
 	Cycles int
 	// FaultPolicy governs replica failures.
 	FaultPolicy FaultPolicy
-	// MaxRetries bounds relaunch attempts per replica (default 3).
-	MaxRetries int
 	// BaseTemperature/BaseSalt seed replica params for dimensions that
 	// are not exchanged (e.g. salt in a pure T-REMD run).
 	BaseTemperature float64

@@ -131,7 +131,7 @@ func NewAdaptiveTrigger(initial float64) *AdaptiveTrigger {
 
 // NewFeedbackTrigger returns a closed-loop policy that widens/narrows
 // its window to hold a target acceptance ratio, starting from the given
-// initial window; see core.FeedbackTrigger for the knobs.
+// initial window; see core.FeedbackTrigger for its settings.
 func NewFeedbackTrigger(initial float64) *FeedbackTrigger {
 	return core.NewFeedbackTrigger(initial)
 }
